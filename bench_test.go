@@ -236,13 +236,6 @@ func BenchmarkCoreSimulator(b *testing.B) {
 	b.ReportMetric(float64(retired), "instrs/run")
 }
 
-// BenchmarkCoreSimulatorALU measures simulator throughput on an
-// ALU-dominated workload, the shape the block fast-path engine
-// accelerates: long straight-line compute bodies with loop control, the
-// kind of code that dominates retired instructions between yields. The
-// pointer chase above is memory-bound (hierarchy modeling dominates);
-// this one is dispatch-bound, so its step rate tracks the execution
-// engine itself.
 // BenchmarkMachineScaling measures aggregate simulator throughput of
 // the many-core kernel on the ALU workload at 1/2/4/8 cores, MachineSolo
 // per core — the host-parallelism scaling figure (each simulated core
@@ -252,16 +245,13 @@ func BenchmarkCoreSimulator(b *testing.B) {
 func BenchmarkMachineScaling(b *testing.B) {
 	for _, cores := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("cores=%d", cores), func(b *testing.B) {
-			topo := DefaultTopology(cores)
-			topo.Machine.MemBytes = 32 << 20
-			s, err := NewSession(WithTopology(topo))
+			s, err := NewSession(WithTopology(DefaultTopology(cores)))
 			if err != nil {
 				b.Fatal(err)
 			}
-			// Iters is sized so simulated stepping dominates the per-
-			// iteration scenario build (~33 MB of memory image): at 2000
-			// iters setup is ~90% of wall time and the Minstr/s figure
-			// measures the allocator, not the kernel.
+			// Iters is sized so simulated stepping, not the per-iteration
+			// scenario build, dominates wall time: the Minstr/s figure
+			// measures the kernel.
 			rc := MachineRun{
 				Spec: UnrolledCompute{BlockInstrs: 64, Iters: 20000, Instances: 1},
 				Mode: MachineSolo,
@@ -382,6 +372,13 @@ func BenchmarkServeMulticore(b *testing.B) {
 	}
 }
 
+// BenchmarkCoreSimulatorALU measures simulator throughput on an
+// ALU-dominated workload, the shape the block fast-path engine
+// accelerates: long straight-line compute bodies with loop control, the
+// kind of code that dominates retired instructions between yields. The
+// pointer chase above is memory-bound (hierarchy modeling dominates);
+// this one is dispatch-bound, so its step rate tracks the execution
+// engine itself.
 func BenchmarkCoreSimulatorALU(b *testing.B) {
 	h, err := NewHarness(DefaultTopology(1).Machine, UnrolledCompute{BlockInstrs: 64, Iters: 2000, Instances: 1})
 	if err != nil {

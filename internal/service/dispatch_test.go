@@ -1,10 +1,12 @@
 package service
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/workloads"
 )
 
 func multiConfig(t *testing.T, cores int, rate float64, requests int) (Config, Cell) {
@@ -127,5 +129,32 @@ func TestDispatcherSteadyStateAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(200, round); avg != 0 {
 		t.Errorf("dispatch round allocates %.1f objects per quantum in steady state, want 0", avg)
+	}
+}
+
+// TestManyCoreComposeAllocatesOnlyWhatItTouches composes the default
+// serving workload on every core of an 8-core default topology (256 MiB
+// of simulated memory per core) and bounds the host bytes allocated: a
+// many-core sweep must not zero memory the program never touches. Each
+// core's scenario writes just over 1 MiB (a 4096-node chase for each of
+// four workers, plus stacks), so it backs two 1 MiB chunks, and builds
+// about 0.85 MiB of host-side state beside them: some 2.8 MiB a core, 22
+// MiB in all. That is why the bound is not 2 MiB a core; at 3 MiB a core
+// it still catches one spurious chunk backed per core, let alone a store
+// that backs the whole 256 MiB.
+func TestManyCoreComposeAllocatesOnlyWhatItTouches(t *testing.T) {
+	cfg := Config{}.withDefaults()
+	topo := machine.DefaultTopology(8)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < topo.Cores; i++ {
+		mach := topo.CoreMachine(i)
+		if _, err := workloads.Compose(mach.MemBytes, mach.Seed, cfg.Workload.Request, cfg.Workload.Background); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if d, limit := after.TotalAlloc-before.TotalAlloc, uint64(topo.Cores)*3<<20; d >= limit {
+		t.Fatalf("composing on %d cores allocated %.1f MiB, want < %d MiB", topo.Cores, float64(d)/(1<<20), limit>>20)
 	}
 }
