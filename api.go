@@ -1,14 +1,11 @@
-// This file is the flat compatibility surface: type aliases and free
-// functions predating the Session entry point (see session.go) and the
-// Topology-centred machine description (see topology.go). New code
-// should start from NewSession + WithTopology, which own the machine
-// description, experiment lookup/run, instrumentation and execution
-// policy in one place. The aliases that name simulator building blocks
-// (Harness, workloads, configs) are not deprecated; the free functions
-// Session subsumed — DefaultMachine, Experiments, LookupExperiment,
-// ExperimentIDs — have been removed (see the migration table in
-// doc.go); the single-core Machine surface Topology subsumes remains
-// deprecated but working.
+// This file names the simulator's building blocks — harnesses,
+// images, tasks, executors, workloads and configs — as type aliases and
+// a few free functions. New code starts from NewSession + WithTopology
+// (see session.go and topology.go), which own the machine description,
+// experiment lookup/run, instrumentation and execution policy in one
+// place; Session.NewHarness is the low-level closed-loop entry. The
+// pre-Session free functions and the single-core Machine surface have
+// been removed (see the migration table in doc.go).
 package repro
 
 import (
@@ -30,15 +27,6 @@ import (
 // ---- Machine & pipeline (internal/core) ----
 
 type (
-	// Machine describes one simulated core's platform: cache hierarchy,
-	// core cost model, sampler configuration and coroutine switch
-	// pricing.
-	//
-	// Deprecated: the public surface is cut around Topology, which
-	// embeds Machine as its per-core template; a single-core machine is
-	// Topology{Cores: 1, Machine: m}. The alias remains for existing
-	// callers.
-	Machine = experiments.Machine
 	// Harness owns a composed workload scenario and builds executors.
 	Harness = experiments.Harness
 	// Image is a (possibly instrumented) executable program.
@@ -46,12 +34,6 @@ type (
 	// TaskSet couples coroutine tasks with host-reference results.
 	TaskSet = experiments.TaskSet
 )
-
-// NewHarness composes workload specs over a fresh simulated memory.
-//
-// Deprecated: prefer Session.NewHarness, which binds the harness to the
-// session's machine (seed, caches, switch pricing) automatically.
-var NewHarness = experiments.NewHarness
 
 // NS converts simulated cycles to nanoseconds (3 GHz clock).
 func NS(cycles float64) float64 { return experiments.NS(cycles) }

@@ -6,10 +6,19 @@ import (
 	"testing"
 )
 
+// newHarness composes specs over a default session's machine.
+func newHarness(tb testing.TB, specs ...WorkloadSpec) (*Harness, error) {
+	tb.Helper()
+	s, err := NewSession()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s.NewHarness(specs...)
+}
+
 // TestPublicAPIEndToEnd exercises the façade exactly as the README shows.
 func TestPublicAPIEndToEnd(t *testing.T) {
-	h, err := NewHarness(DefaultTopology(1).Machine,
-		PointerChase{Nodes: 2048, Hops: 500, Instances: 4})
+	h, err := newHarness(t, PointerChase{Nodes: 2048, Hops: 500, Instances: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +47,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 }
 
 func TestPublicAPIDualMode(t *testing.T) {
-	h, err := NewHarness(DefaultTopology(1).Machine,
+	h, err := newHarness(t,
 		HashJoin{BuildRows: 2048, Buckets: 1024, Probes: 100, MatchFraction: 0.7, Instances: 1},
 		Compute{Iters: 1_000_000, Instances: 2})
 	if err != nil {

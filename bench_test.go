@@ -215,7 +215,7 @@ func BenchmarkE20SwitchCost(b *testing.B) {
 // instructions per second) on the pointer chase, as a harness sanity
 // metric.
 func BenchmarkCoreSimulator(b *testing.B) {
-	h, err := NewHarness(DefaultTopology(1).Machine, PointerChase{Nodes: 4096, Hops: 2000, Instances: 1})
+	h, err := newHarness(b, PointerChase{Nodes: 4096, Hops: 2000, Instances: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -380,7 +380,7 @@ func BenchmarkServeMulticore(b *testing.B) {
 // this one is dispatch-bound, so its step rate tracks the execution
 // engine itself.
 func BenchmarkCoreSimulatorALU(b *testing.B) {
-	h, err := NewHarness(DefaultTopology(1).Machine, UnrolledCompute{BlockInstrs: 64, Iters: 2000, Instances: 1})
+	h, err := newHarness(b, UnrolledCompute{BlockInstrs: 64, Iters: 2000, Instances: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

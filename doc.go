@@ -109,16 +109,16 @@
 //
 // The package-level bench harness (go test -bench .) and cmd/shbench
 // regenerate every table and figure of the evaluation; see DESIGN.md and
-// EXPERIMENTS.md. The flat pre-Session surface (NewHarness, ...) and the
-// single-core Machine surface remain as deprecated compatibility
-// layers; the free functions Session subsumed are gone. Migration:
+// EXPERIMENTS.md. The flat pre-Session surface and the single-core
+// Machine surface have been removed. Migration:
 //
 //	DefaultMachine()        → DefaultTopology(1).Machine (removed)
 //	Experiments()           → Session.ExperimentIDs() + Session.RunAll(ctx) (removed)
 //	LookupExperiment(id)    → Session.Run(ctx, id) (removed)
 //	ExperimentIDs()         → Session.ExperimentIDs() (removed)
-//	WithMachine(m)          → WithTopology(Topology{Cores: 1, Machine: m})
-//	Session.Machine()       → Session.Topology().Machine
-//	NewHarness(specs...)    → Session.NewHarness(specs...)
-//	WithTracer(t)           → WithObservability(ObservabilityConfig{Tracer: t})
+//	WithMachine(m)          → WithTopology(Topology{Cores: 1, Machine: m}) (removed)
+//	Session.Machine()       → Session.Topology().Machine (removed)
+//	Machine                 → Topology.Machine's type (removed)
+//	NewHarness(specs...)    → Session.NewHarness(specs...) (removed)
+//	WithTracer(t)           → WithObservability(ObservabilityConfig{Tracer: t}) (removed)
 package repro

@@ -1,13 +1,17 @@
 // Package exec is the runtime half of the paper's proposal: it interleaves
 // instrumented coroutines on the simulated core.
 //
-// Three execution disciplines are provided:
+// Four execution disciplines are provided:
 //
 //   - Solo: one coroutine, yields are no-ops (the uninstrumented baseline,
 //     and the measure of pure instrumentation overhead).
 //   - Symmetric: N equal coroutines round-robin at primary yields — the
 //     CoroBase-style throughput mode the paper's §2 describes for
-//     databases.
+//     databases. Solo and symmetric share one engine, Ticker, resumable
+//     at cycle deadlines and fed by a Source: a fixed task set, or the
+//     open-loop service harness's re-armed worker slots.
+//   - Windowed: symmetric over a bounded window of a task stream, each
+//     finished task's slot replenished from the stream.
 //   - Dual-mode (§3.3, asymmetric concurrency): one latency-sensitive
 //     primary plus scavengers. The primary yields only at likely misses;
 //     scavengers run in the shadow of those misses and hand the CPU back

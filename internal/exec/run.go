@@ -15,21 +15,7 @@ import (
 //
 //shsim:cycle-entry
 func (e *Executor) RunSolo(t *Task) (Stats, error) {
-	start := e.Core.Now
-	var steps uint64
-	var r cpu.BlockResult
-	for !t.Ctx.Halted {
-		if steps >= e.Cfg.MaxSteps {
-			return Stats{}, ErrFuelExhausted
-		}
-		if err := e.Core.RunBlock(t.Ctx, false, e.Cfg.MaxSteps-steps, 0, &r); err != nil {
-			return Stats{}, err
-		}
-		steps += r.Steps
-	}
-	st := Stats{Cycles: e.Core.Now - start}
-	collect(&st, t)
-	return st, nil
+	return e.runTicker([]*Task{t}, true)
 }
 
 // RunSymmetric interleaves equal-priority tasks: every primary-phase yield
@@ -39,63 +25,19 @@ func (e *Executor) RunSolo(t *Task) (Stats, error) {
 //
 //shsim:cycle-entry
 func (e *Executor) RunSymmetric(tasks []*Task) (Stats, error) {
-	if len(tasks) == 0 {
-		return Stats{}, fmt.Errorf("exec: no tasks")
-	}
-	for _, t := range tasks {
-		t.Mode = coro.Primary
-		t.Ctx.Mode = coro.Primary
-	}
-	start := e.Core.Now
-	cur := 0
-	running := len(tasks)
-	var steps uint64
-	var r cpu.BlockResult
-	latencies := make([]uint64, len(tasks))
-	e.resume(tasks[cur])
-	for running > 0 {
-		if steps >= e.Cfg.MaxSteps {
-			return Stats{}, ErrFuelExhausted
-		}
-		t := tasks[cur]
-		if err := e.Core.RunBlock(t.Ctx, false, e.Cfg.MaxSteps-steps, 0, &r); err != nil {
-			return Stats{}, err
-		}
-		steps += r.Steps
-		switch {
-		case r.Halted:
-			latencies[cur] = e.Core.Now - start
-			running--
-			if running == 0 {
-				break
-			}
-			nxt := e.nextRunnable(tasks, cur)
-			cur = nxt
-			e.resume(tasks[cur])
-		case r.Yield:
-			nxt := e.nextRunnable(tasks, cur)
-			if nxt != cur {
-				e.switchFrom(t, r.LiveMask)
-				cur = nxt
-				e.resume(tasks[cur])
-			}
-		}
-	}
-	st := Stats{Cycles: e.Core.Now - start, Latencies: latencies}
-	collect(&st, tasks...)
-	return st, nil
+	return e.runTicker(tasks, false)
 }
 
-// nextRunnable returns the next non-halted task index after cur, or cur if
-// none other is runnable.
-func (e *Executor) nextRunnable(tasks []*Task, cur int) int {
-	for off := 1; off <= len(tasks); off++ {
-		i := (cur + off) % len(tasks)
-		if !tasks[i].Ctx.Halted {
-			return i
-		}
+// runTicker runs a fixed task set to completion on a Ticker.
+func (e *Executor) runTicker(tasks []*Task, solo bool) (Stats, error) {
+	t, err := e.NewTicker(tasks, solo)
+	if err != nil {
+		return Stats{}, err
 	}
-	return cur
+	if _, err := t.Run(^uint64(0)); err != nil {
+		return Stats{}, err
+	}
+	return t.Stats(), nil
 }
 
 // RunDualMode executes one latency-sensitive primary with a pool of

@@ -50,6 +50,10 @@ type coreRunner struct {
 	view *mem.LLCView
 	reg  *metrics.Registry
 	ring *trace.Ring
+	// sched receives the request latencies when the core finishes
+	// (symmetric and SMT modes; nil for solo runs, which serve no
+	// requests, and when observability is off).
+	sched *metrics.Registry
 
 	done bool
 	err  error
@@ -63,9 +67,32 @@ type coreRunner struct {
 //shsim:quantum-phase
 func (c *coreRunner) run(deadline uint64) (bool, error) {
 	if c.tick != nil {
-		return c.tick.Run(deadline)
+		done, err := c.tick.Run(deadline)
+		if done && err == nil {
+			c.recordRequests(c.tick.Stats().Latencies)
+		}
+		return done, err
 	}
-	return c.smt.Run(deadline)
+	done, err := c.smt.Run(deadline)
+	if done && err == nil {
+		c.recordRequests(c.smt.Stats().Latencies)
+	}
+	return done, err
+}
+
+// recordRequests records each task's completion latency in the Sched
+// section once the core finishes, as internal/sched does at the end of
+// a classic single-core run, so many-core runs report request
+// latencies too.
+func (c *coreRunner) recordRequests(latencies []uint64) {
+	m := c.sched
+	if m == nil {
+		return
+	}
+	m.Sched.Requests += uint64(len(latencies))
+	for _, l := range latencies {
+		m.Sched.RequestLatency.Observe(l)
+	}
 }
 
 // loop is the worker goroutine: one quantum per handshake. It performs
@@ -158,6 +185,9 @@ func New(topo Topology, rc RunConfig) (*Machine, error) {
 				return nil, fmt.Errorf("machine: core %d: %w", i, err)
 			}
 			c.tick = tick
+			if rc.Mode == ModeSymmetric {
+				c.sched = cfg.Metrics
+			}
 		case ModeSMT:
 			cpuCore := cpu.MustNewCore(c.mach.CPU, img.Prog, h.Sc.Mem, mem.MustNewHierarchy(c.mach.Mem))
 			c.cpu = cpuCore
@@ -173,14 +203,12 @@ func New(topo Topology, rc RunConfig) (*Machine, error) {
 			if smtCfg.Contexts == 0 {
 				smtCfg.Contexts = len(ctxs)
 			}
-			if smtCfg.Metrics == nil {
-				smtCfg.Metrics = c.reg
-			}
 			rn, err := smt.NewRunner(cpuCore, smtCfg, ctxs)
 			if err != nil {
 				return nil, fmt.Errorf("machine: core %d: %w", i, err)
 			}
 			c.smt = rn
+			c.sched = c.reg
 		}
 		m.cores = append(m.cores, c)
 	}

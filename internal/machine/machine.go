@@ -202,8 +202,8 @@ func (rc RunConfig) validate(cores int) error {
 	if rc.Tasks < 0 {
 		return fmt.Errorf("machine: negative task count %d", rc.Tasks)
 	}
-	if cores > 1 && (rc.Exec.Tracer != nil || rc.Exec.Metrics != nil || rc.SMT.Metrics != nil) {
-		return fmt.Errorf("machine: Exec.Tracer/Exec.Metrics/SMT.Metrics would be shared across %d core goroutines; use RunConfig.TraceN/Metrics for per-core observability", cores)
+	if cores > 1 && (rc.Exec.Tracer != nil || rc.Exec.Metrics != nil) {
+		return fmt.Errorf("machine: Exec.Tracer/Exec.Metrics would be shared across %d core goroutines; use RunConfig.TraceN/Metrics for per-core observability", cores)
 	}
 	if rc.TraceN < 0 {
 		return fmt.Errorf("machine: negative trace capacity %d", rc.TraceN)

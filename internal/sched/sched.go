@@ -131,9 +131,9 @@ func (s *Scheduler) Run() (Stats, error) {
 
 	switch s.policy {
 	case Agnostic:
-		// One flat round-robin queue; yields rotate blindly. To observe
-		// request completions we run the symmetric loop request by
-		// request: RunSymmetric already records per-task halt times.
+		// One flat round-robin queue; yields rotate blindly. One
+		// RunSymmetric over requests and batch tasks together records
+		// each task's halt time, which gives the request latencies.
 		all := append(append([]*exec.Task{}, s.requests...), s.batch...)
 		runStats, err := s.ex.RunSymmetric(all)
 		if err != nil {

@@ -210,7 +210,7 @@ func (d *dispatcher) step() error {
 		if sc.err != nil {
 			return fmt.Errorf("service: core %d: %w", i, sc.err)
 		}
-		steps += sc.c.steps
+		steps += sc.c.engineSteps()
 	}
 	if steps > d.cfg.MaxSteps {
 		return fmt.Errorf("service: MaxSteps exceeded across %d cores (%s at rate %g)",

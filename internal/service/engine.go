@@ -39,8 +39,12 @@ type batchTask struct {
 // cell is one (policy, rate) point of the sweep: a pure single-threaded
 // simulation over its own harness, executor and metrics registry. In a
 // multi-core cell each core owns one of these (built from its strided
-// per-core machine, arrivals owned by the dispatcher instead), and the
-// engines below run it one quantum at a time.
+// per-core machine, arrivals owned by the dispatcher instead), and its
+// policy engine runs it one quantum at a time. Slicing an SMT cell is
+// byte-identical to running it whole; slicing a coroutine-policy cell
+// is not in general, because a quantum stop can fall inside a stall
+// that non-block RunBlock absorbs into the clock and so admit an
+// arrival one yield earlier (ARCHITECTURE.md §11).
 type cell struct {
 	cfg  Config
 	pol  Policy
@@ -73,24 +77,21 @@ type cell struct {
 	batch []*batchTask
 	bnext int // next background instance to arm
 
-	steps uint64
-	r     cpu.BlockResult
+	// The policy engine. Agnostic and OSThread cells are a source for
+	// the symmetric engine (tick), SMT cells for the stall-switch engine
+	// (smt); Sidecar and EventAware run runAsym, whose state follows.
+	// All three resume at a deadline exactly where the last call
+	// stopped, so a multi-core cell runs them one quantum at a time.
+	tick *exec.Ticker
+	smt  *smt.Runner
 
-	// Engine state that single-core runs kept in loop locals. It lives
-	// on the cell so a deadline-sliced engine resumes mid-discipline
-	// exactly where the quantum cut it: a budget stop is a fuel split
-	// (equivalence-preserving), so a cell served in quantum slices is
-	// byte-identical to the same cell run unsliced.
-	cur       int    // ring entity holding the CPU; -1 = none (flat/asym)
-	scavIdx   int    // batch rotation cursor (asym)
-	inEpisode bool   // an open hide episode (asym)
+	steps     uint64
+	r         cpu.BlockResult
+	cur       int    // ring entity holding the CPU; -1 = none
+	scavIdx   int    // batch rotation cursor
+	inEpisode bool   // an open hide episode
 	epStart   uint64 // episode start cycle
 	epTarget  uint64 // episode hide target
-
-	smtCur       int      // SMT rotation cursor
-	sliceUsed    uint64   // busy cycles used of the current SMT slice
-	smtQuantum   uint64   // SMT hardware-thread slice length
-	blockedUntil []uint64 // per-entity SMT memory-stall wakeups
 }
 
 // RunCell serves one sweep cell: cfg.Requests requests offered at
@@ -113,25 +114,37 @@ func RunCell(mach core.Machine, cfg Config, cl Cell) (CellStats, error) {
 		return CellStats{}, err
 	}
 	start := c.ex.Core.Now
-	if err := c.run(0); err != nil {
+	if err := c.run(^uint64(0)); err != nil {
 		return CellStats{}, err
 	}
 	return c.stats(c.ex.Core.Now - start), nil
 }
 
 // run advances the cell's policy engine until the cell drains
-// (single-core cells, deadline 0) or the cycle deadline passes
-// (quantum-sliced multi-core cells).
+// (single-core cells, no deadline: ^uint64(0)) or the cycle deadline
+// passes (quantum-sliced multi-core cells).
 func (c *cell) run(deadline uint64) error {
-	switch c.pol {
-	case Agnostic, OSThread:
-		return c.runFlat(deadline)
-	case Sidecar, EventAware:
-		return c.runAsym(deadline)
-	case SMT:
-		return c.runSMT(deadline)
+	var err error
+	switch {
+	case c.tick != nil:
+		_, err = c.tick.Run(deadline)
+	case c.smt != nil:
+		_, err = c.smt.Run(deadline)
+	default:
+		err = c.runAsym(deadline)
 	}
-	return fmt.Errorf("service: unknown policy %d", uint8(c.pol))
+	return err
+}
+
+// engineSteps returns the instructions the policy engine has retired.
+func (c *cell) engineSteps() uint64 {
+	switch {
+	case c.tick != nil:
+		return c.tick.Steps()
+	case c.smt != nil:
+		return c.smt.Steps()
+	}
+	return c.steps
 }
 
 // pipelineOpts builds instrumentation options consistent with the
@@ -225,9 +238,20 @@ func newCell(mach core.Machine, cfg Config, cl Cell, withArrivals bool) (*cell, 
 		}
 		c.reg.Sched.BatchTasks = uint64(cfg.Batch)
 	}
-	if cl.Policy == SMT {
-		c.blockedUntil = make([]uint64, c.entities())
-		c.smtQuantum = smt.DefaultConfig().Quantum
+	switch cl.Policy {
+	case Agnostic, OSThread:
+		c.tick = c.ex.NewSourceTicker(c)
+	case SMT:
+		// One hardware context per worker slot and batch task; the
+		// cell, not the part, bounds concurrency.
+		c.smt, err = smt.NewSourceRunner(c.ex.Core, smt.Config{
+			Contexts: c.Len(),
+			Quantum:  smt.DefaultConfig().Quantum,
+			MaxSteps: cfg.MaxSteps,
+		}, c)
+		if err != nil {
+			return nil, err
+		}
 	}
 
 	if withArrivals {
@@ -243,13 +267,22 @@ func newCell(mach core.Machine, cfg Config, cl Cell, withArrivals bool) (*cell, 
 	return c, nil
 }
 
-// pending reports whether the engine loop has more to do. A
+// The cell is the exec.Source its policy engine draws from. Interface
+// calls give the static proofs no call edges, so each method the
+// engines reach through the source is a cycle-domain root in its own
+// right (detflow) and runs on a core goroutine during quanta
+// (barrierguard).
+
+// Pending reports whether the engine loop has more to do. A
 // self-clocked cell drains its own request budget: every request ends
 // as exactly one of completed, dropped or shed. A dispatched cell runs
 // until its quantum deadline — the dispatcher, not the core, decides
 // when the cell as a whole is drained — so here it is always pending
 // and the deadline check in the engine loop is the only exit.
-func (c *cell) pending() bool {
+//
+//shsim:cycle-entry
+//shsim:quantum-phase
+func (c *cell) Pending() bool {
 	if c.arr == nil {
 		return true
 	}
@@ -257,11 +290,25 @@ func (c *cell) pending() bool {
 	return s.Completed+s.Dropped+s.Shed < uint64(c.cfg.Requests)
 }
 
+// Poll admits every arrival due by the current cycle and dispatches
+// queued requests into free slots. It returns the cycle of the next
+// arrival while the cell's own arrival process has requests left to
+// generate; dispatched cells have none, their work appears only at
+// quantum barriers.
+//
+//shsim:cycle-entry
+//shsim:quantum-phase
+func (c *cell) Poll() (uint64, bool) {
+	c.pump()
+	c.fill()
+	return c.nextArrival, c.arr != nil && c.generated < uint64(c.cfg.Requests)
+}
+
 // pump admits every arrival due at or before the current cycle. After
 // pump, either all requests have been generated or the next arrival is
-// strictly in the future — which is what makes clip() a positive
-// budget. Dispatched cells have no arrival process: their queue is fed
-// at quantum barriers and pump is a no-op.
+// strictly in the future — which is what makes the engines' arrival
+// clip a positive budget. Dispatched cells have no arrival process:
+// their queue is fed at quantum barriers and pump is a no-op.
 func (c *cell) pump() {
 	if c.arr == nil {
 		return
@@ -279,51 +326,6 @@ func (c *cell) pump() {
 			c.nextArrival = c.arr.Next()
 		}
 	}
-}
-
-// clip returns the busy-cycle budget to the next scheduling boundary
-// (0 = unbounded): the next arrival for self-clocked cells, additionally
-// capped by the quantum deadline when one is set. Every engine hands it
-// to RunBlock so the simulation re-enters the scheduling loop at each
-// boundary. A budget stop is exactly a fuel split — equivalence-
-// preserving — so clipping changes no architectural state, only where
-// the engine gets to look at the clock.
-func (c *cell) clip(deadline uint64) uint64 {
-	now := c.ex.Core.Now
-	var budget uint64
-	if c.arr != nil && c.generated < uint64(c.cfg.Requests) {
-		budget = c.nextArrival - now
-	}
-	if deadline != 0 {
-		if b := deadline - now; budget == 0 || b < budget {
-			budget = b
-		}
-	}
-	return budget
-}
-
-// idle advances the clock to the next arrival (or the quantum deadline,
-// whichever is sooner) when nothing is runnable.
-func (c *cell) idle(deadline uint64) error {
-	now := c.ex.Core.Now
-	if c.arr == nil {
-		// Dispatched cells idle out the quantum; new work can only
-		// appear at the next barrier. The engine loop re-checks the
-		// deadline and returns.
-		c.ex.Core.AdvanceIdle(deadline - now)
-		return nil
-	}
-	if c.generated >= uint64(c.cfg.Requests) {
-		// Unaccounted requests with nothing runnable and nothing to
-		// arrive cannot happen: queued requests fill free slots first.
-		return fmt.Errorf("service: stalled with no runnable work and no pending arrivals")
-	}
-	next := c.nextArrival
-	if deadline != 0 && deadline < next {
-		next = deadline
-	}
-	c.ex.Core.AdvanceIdle(next - now)
-	return nil
 }
 
 // arm points s at req: restore the instance's initial registers on the
@@ -433,108 +435,44 @@ func (c *cell) completeBatch(b *batchTask) error {
 // Ring indexing: entities 0..len(slots)-1 are worker slots,
 // len(slots).. are batch tasks.
 
-func (c *cell) entities() int { return len(c.slots) + len(c.batch) }
+// Len is the ring size.
+//
+//shsim:cycle-entry
+//shsim:quantum-phase
+func (c *cell) Len() int { return len(c.slots) + len(c.batch) }
 
-func (c *cell) taskAt(i int) *exec.Task {
+// TaskAt returns ring entity i's task.
+//
+//shsim:cycle-entry
+//shsim:quantum-phase
+func (c *cell) TaskAt(i int) *exec.Task {
 	if i < len(c.slots) {
 		return c.slots[i].task
 	}
 	return c.batch[i-len(c.slots)].task
 }
 
-// runnableAt reports whether ring entity i has work: busy slots always,
-// batch tasks always (they re-arm on halt).
-func (c *cell) runnableAt(i int) bool {
+// RunnableAt reports whether ring entity i has work: busy slots,
+// and batch tasks always (they re-arm on halt).
+//
+//shsim:cycle-entry
+//shsim:quantum-phase
+func (c *cell) RunnableAt(i int) bool {
 	if i < len(c.slots) {
 		return c.slots[i].busy
 	}
 	return true
 }
 
-// nextRunnable scans the ring from cur+1, wrapping through cur itself;
-// -1 means nothing is runnable.
-func (c *cell) nextRunnable(cur int) int {
-	n := c.entities()
-	for off := 1; off <= n; off++ {
-		i := (cur + off + n) % n
-		if c.runnableAt(i) {
-			return i
-		}
-	}
-	return -1
-}
-
-// haltAt retires ring entity i after its context halted.
-func (c *cell) haltAt(i int) error {
+// HaltAt retires ring entity i after its context halted.
+//
+//shsim:cycle-entry
+//shsim:quantum-phase
+func (c *cell) HaltAt(i int) error {
 	if i < len(c.slots) {
 		return c.complete(c.slots[i])
 	}
 	return c.completeBatch(c.batch[i-len(c.slots)])
-}
-
-// expired reports whether the quantum deadline has passed (never true
-// for self-clocked cells, which run with deadline 0).
-func (c *cell) expired(deadline uint64) bool {
-	return deadline != 0 && c.ex.Core.Now >= deadline
-}
-
-// runFlat is the Agnostic/OSThread engine: one flat round-robin ring
-// over in-flight requests and batch work, rotating at every primary
-// yield, blind to request class — requests queue behind batch ops and
-// behind each other. OSThread runs the identical discipline with
-// kernel-priced switches.
-//
-//shsim:cycle-entry
-//shsim:noalloc
-func (c *cell) runFlat(deadline uint64) error {
-	for c.pending() {
-		if c.expired(deadline) {
-			return nil
-		}
-		if c.steps >= c.cfg.MaxSteps {
-			return fmt.Errorf("service: MaxSteps exceeded (%s at rate %g)", c.pol, c.rate) //shsim:alloc-ok cold overrun guard; fails the run
-		}
-		c.pump()
-		c.fill()
-		if c.cur < 0 || !c.runnableAt(c.cur) {
-			nxt := c.nextRunnable(c.cur)
-			if nxt < 0 {
-				if err := c.idle(deadline); err != nil {
-					return err
-				}
-				continue
-			}
-			c.cur = nxt
-			c.ex.Resume(c.taskAt(c.cur))
-		}
-		t := c.taskAt(c.cur)
-		if err := c.ex.Core.RunBlock(t.Ctx, false, c.cfg.MaxSteps-c.steps, c.clip(deadline), &c.r); err != nil {
-			return err
-		}
-		c.steps += c.r.Steps
-		switch {
-		case c.r.Halted:
-			if err := c.haltAt(c.cur); err != nil {
-				return err
-			}
-			if nxt := c.nextRunnable(c.cur); nxt >= 0 {
-				c.cur = nxt
-				c.ex.Resume(c.taskAt(c.cur))
-			} else {
-				c.cur = -1
-			}
-		case c.r.Yield:
-			if nxt := c.nextRunnable(c.cur); nxt >= 0 && nxt != c.cur {
-				c.ex.SwitchOut(t, c.r.LiveMask)
-				c.cur = nxt
-				c.ex.Resume(c.taskAt(c.cur))
-			}
-			// Conditional yields stay dormant in the flat disciplines
-			// (every task runs in primary mode), and a budget stop just
-			// re-enters the loop on the same task.
-		}
-	}
-	return nil
 }
 
 // primary returns the ring entity of the oldest in-flight request,
@@ -580,7 +518,7 @@ func (c *cell) endEpisode() {
 func (c *cell) backToPrimary() {
 	c.endEpisode()
 	c.cur = c.primary()
-	c.ex.Resume(c.taskAt(c.cur))
+	c.ex.Resume(c.TaskAt(c.cur))
 }
 
 // runAsym is the Sidecar/EventAware engine: the oldest in-flight
@@ -594,35 +532,34 @@ func (c *cell) backToPrimary() {
 //shsim:cycle-entry
 //shsim:noalloc
 func (c *cell) runAsym(deadline uint64) error {
-	for c.pending() {
-		if c.expired(deadline) {
+	for c.Pending() {
+		if c.ex.Core.Now >= deadline {
 			return nil
 		}
 		if c.steps >= c.cfg.MaxSteps {
 			return fmt.Errorf("service: MaxSteps exceeded (%s at rate %g)", c.pol, c.rate) //shsim:alloc-ok cold overrun guard; fails the run
 		}
-		c.pump()
-		c.fill()
+		next, ok := c.Poll()
 		if c.cur < 0 {
 			// Nothing holds the CPU: the oldest request if any, else
 			// batch work, else idle to the next arrival.
 			if p := c.primary(); p >= 0 {
 				c.cur = p
-				c.ex.Resume(c.taskAt(c.cur))
+				c.ex.Resume(c.TaskAt(c.cur))
 			} else if len(c.batch) > 0 {
 				c.cur = len(c.slots) + c.scavIdx%len(c.batch)
 				c.scavIdx++
-				c.ex.Resume(c.taskAt(c.cur))
+				c.ex.Resume(c.TaskAt(c.cur))
 			} else {
-				if err := c.idle(deadline); err != nil {
+				if err := c.ex.Idle(deadline, next, ok); err != nil {
 					return err
 				}
 				continue
 			}
 		}
-		t := c.taskAt(c.cur)
+		t := c.TaskAt(c.cur)
 		isPrimary := c.cur == c.primary()
-		if err := c.ex.Core.RunBlock(t.Ctx, false, c.cfg.MaxSteps-c.steps, c.clip(deadline), &c.r); err != nil {
+		if err := c.ex.Core.RunBlock(t.Ctx, false, c.cfg.MaxSteps-c.steps, exec.Budget(c.ex.Core.Now, deadline, next, ok), &c.r); err != nil {
 			return err
 		}
 		c.steps += c.r.Steps
@@ -631,7 +568,7 @@ func (c *cell) runAsym(deadline uint64) error {
 
 		switch {
 		case c.r.Halted:
-			if err := c.haltAt(c.cur); err != nil {
+			if err := c.HaltAt(c.cur); err != nil {
 				return err
 			}
 			if isPrimary {
@@ -640,7 +577,7 @@ func (c *cell) runAsym(deadline uint64) error {
 				// running.
 				if p := c.primary(); p >= 0 {
 					c.cur = p
-					c.ex.Resume(c.taskAt(c.cur))
+					c.ex.Resume(c.TaskAt(c.cur))
 				} else {
 					c.cur = -1
 				}
@@ -659,13 +596,13 @@ func (c *cell) runAsym(deadline uint64) error {
 						c.reg.Exec.Chains++
 					}
 					c.cur = nxt
-					c.ex.Resume(c.taskAt(c.cur))
+					c.ex.Resume(c.TaskAt(c.cur))
 				} else {
 					c.backToPrimary()
 				}
 			case c.primary() >= 0:
 				c.cur = c.primary()
-				c.ex.Resume(c.taskAt(c.cur))
+				c.ex.Resume(c.TaskAt(c.cur))
 			default:
 				c.cur = -1 // idle fill re-picks at the loop top
 			}
@@ -697,7 +634,7 @@ func (c *cell) runAsym(deadline uint64) error {
 				c.epTarget = target
 				c.ex.SwitchOut(t, c.r.LiveMask)
 				c.cur = nxt
-				c.ex.Resume(c.taskAt(c.cur))
+				c.ex.Resume(c.TaskAt(c.cur))
 				continue
 			}
 			// A scavenger hit its own likely miss: chain onward; or, if
@@ -706,14 +643,14 @@ func (c *cell) runAsym(deadline uint64) error {
 			if !c.inEpisode && c.primary() >= 0 {
 				c.ex.SwitchOut(t, c.r.LiveMask)
 				c.cur = c.primary()
-				c.ex.Resume(c.taskAt(c.cur))
+				c.ex.Resume(c.TaskAt(c.cur))
 				continue
 			}
 			if nxt := c.nextScavenger(c.cur); nxt >= 0 && nxt != c.cur {
 				c.ex.SwitchOut(t, c.r.LiveMask)
 				c.reg.Exec.Chains++
 				c.cur = nxt
-				c.ex.Resume(c.taskAt(c.cur))
+				c.ex.Resume(c.TaskAt(c.cur))
 			}
 
 		case c.r.CondYield:
@@ -729,102 +666,8 @@ func (c *cell) runAsym(deadline uint64) error {
 			} else if !c.inEpisode && c.primary() >= 0 {
 				c.ex.SwitchOut(t, c.r.LiveMask)
 				c.cur = c.primary()
-				c.ex.Resume(c.taskAt(c.cur))
+				c.ex.Resume(c.TaskAt(c.cur))
 			}
-		}
-	}
-	return nil
-}
-
-// runSMT is the hardware baseline: worker slots plus batch contexts
-// multiplex the core as hardware threads over the uninstrumented
-// binary, switching on memory stalls with zero software cost — and zero
-// notion of request priority, so batch work is multiplexed like any
-// request (the paper's §1 critique). The loop is smt.Runner's
-// stall-switch discipline with arrival-clipped budgets and slot
-// re-arming.
-//
-//shsim:cycle-entry
-//shsim:noalloc
-func (c *cell) runSMT(deadline uint64) error {
-	n := c.entities()
-	for c.pending() {
-		if c.expired(deadline) {
-			return nil
-		}
-		if c.steps >= c.cfg.MaxSteps {
-			return fmt.Errorf("service: MaxSteps exceeded (%s at rate %g)", c.pol, c.rate) //shsim:alloc-ok cold overrun guard; fails the run
-		}
-		c.pump()
-		c.fill()
-		now := c.ex.Core.Now
-		picked := -1
-		preemptAt := uint64(0)
-		for off := 0; off < n; off++ {
-			i := (c.smtCur + off) % n
-			if !c.runnableAt(i) {
-				continue
-			}
-			if c.blockedUntil[i] <= now {
-				picked = i
-				break
-			}
-			if preemptAt == 0 || c.blockedUntil[i] < preemptAt {
-				preemptAt = c.blockedUntil[i]
-			}
-		}
-		if picked < 0 {
-			// Every armed context is blocked on memory (or no request
-			// is in flight): idle to the earliest wake-up, arrival, or
-			// quantum deadline.
-			soonest := uint64(0)
-			for i := 0; i < n; i++ {
-				if c.runnableAt(i) && c.blockedUntil[i] > now &&
-					(soonest == 0 || c.blockedUntil[i] < soonest) {
-					soonest = c.blockedUntil[i]
-				}
-			}
-			if c.arr != nil && c.generated < uint64(c.cfg.Requests) &&
-				(soonest == 0 || c.nextArrival < soonest) {
-				soonest = c.nextArrival
-			}
-			if deadline != 0 && (soonest == 0 || soonest > deadline) {
-				soonest = deadline
-			}
-			if soonest <= now {
-				return fmt.Errorf("service: smt deadlock — nothing runnable and nothing pending") //shsim:alloc-ok cold deadlock guard; fails the run
-			}
-			c.ex.Core.AdvanceIdle(soonest - now)
-			continue
-		}
-		budget := c.smtQuantum - c.sliceUsed
-		if preemptAt > now && preemptAt-now < budget {
-			budget = preemptAt - now
-		}
-		if clip := c.clip(deadline); clip > 0 && clip < budget {
-			budget = clip
-		}
-		ctx := c.taskAt(picked).Ctx
-		if err := c.ex.Core.RunBlock(ctx, true, c.cfg.MaxSteps-c.steps, budget, &c.r); err != nil {
-			return err
-		}
-		c.steps += c.r.Steps
-		c.sliceUsed += c.r.Busy
-		rotate := false
-		if c.r.Stall > 0 {
-			c.blockedUntil[picked] = c.ex.Core.Now + c.r.Stall
-			ctx.StallCycles += c.r.Stall
-			rotate = true
-		}
-		if c.r.Halted {
-			if err := c.haltAt(picked); err != nil {
-				return err
-			}
-			rotate = true
-		}
-		if rotate || c.sliceUsed >= c.smtQuantum {
-			c.smtCur = (picked + 1) % n
-			c.sliceUsed = 0
 		}
 	}
 	return nil

@@ -38,7 +38,7 @@ func TestCellSlicingEquivalence(t *testing.T) {
 			start := c.ex.Core.Now
 			deadline := start
 			slices := 0
-			for c.pending() {
+			for c.Pending() {
 				deadline += quantum
 				if err := c.run(deadline); err != nil {
 					t.Fatalf("rate %g quantum %d: %v", rate, quantum, err)

@@ -10,12 +10,13 @@
 package smt
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/bincfg"
 	"repro/internal/coro"
 	"repro/internal/cpu"
-	"repro/internal/metrics"
+	"repro/internal/exec"
 )
 
 // Config tunes the SMT model.
@@ -35,12 +36,6 @@ type Config struct {
 	// quantum budget and stall-block boundaries exactly, so this is an
 	// A/B and differential-testing knob, not a correctness one.
 	DisableSuperblocks bool
-	// Metrics, when non-nil, receives per-context completion latencies
-	// in the Sched section at each halt — the same contract exec.Config
-	// has, so SMT baseline runs (including resumable many-core ones)
-	// report request latencies like the coroutine engines do. One nil
-	// check per halt is the whole disabled-path cost.
-	Metrics *metrics.Registry
 }
 
 // DefaultConfig models 2-way SMT (Intel Hyper-Threading) with a fine
@@ -88,20 +83,21 @@ func Run(core *cpu.Core, cfg Config, ctxs []*coro.Context) (Stats, error) {
 	return r.Stats(), nil
 }
 
-// Runner is the resumable form of Run for the cycle-quantum kernel
-// (internal/machine): Run(deadline) multiplexes the contexts until the
-// core clock reaches the deadline, and a later call picks up exactly
-// where the previous one stopped. Run(^uint64(0)) is the classic
-// run-to-completion discipline — the free Run function is that wrapper.
+// Runner is the stall-switch engine, resumable at cycle deadlines:
+// Run(deadline) multiplexes the source's entities until the core clock
+// reaches the deadline, and a later call picks up exactly where the
+// previous one stopped. Run(^uint64(0)) is the classic
+// run-to-completion discipline — the free Run function is that
+// wrapper over a fixed set of contexts; the many-core kernel and the
+// open-loop service harness call it once per quantum.
 type Runner struct {
 	core *cpu.Core
 	cfg  Config
-	ctxs []*coro.Context
+	src  exec.Source
 
 	latencies    []uint64
 	blockedUntil []uint64
 	idle         uint64
-	running      int
 	cur          int
 	steps        uint64
 	sliceUsed    uint64
@@ -110,16 +106,34 @@ type Runner struct {
 	r            cpu.BlockResult
 }
 
-// NewRunner validates the configuration and prepares a resumable run.
+// Errors that end a run.
+var (
+	errMaxSteps = errors.New("smt: MaxSteps exceeded")
+	errDeadlock = errors.New("smt: deadlock — nothing runnable and nothing blocked")
+)
+
+// NewRunner validates the configuration and prepares a resumable run
+// over a fixed set of contexts.
 func NewRunner(core *cpu.Core, cfg Config, ctxs []*coro.Context) (*Runner, error) {
+	tasks := make([]*exec.Task, len(ctxs))
+	for i, c := range ctxs {
+		tasks[i] = &exec.Task{Ctx: c, Mode: c.Mode}
+	}
+	return NewSourceRunner(core, cfg, exec.TaskSet(tasks))
+}
+
+// NewSourceRunner validates the configuration and prepares a resumable
+// run over src, one hardware context per entity.
+func NewSourceRunner(core *cpu.Core, cfg Config, src exec.Source) (*Runner, error) {
+	n := src.Len()
 	if cfg.Contexts <= 0 {
 		return nil, fmt.Errorf("smt: context count must be positive")
 	}
-	if len(ctxs) == 0 {
+	if n == 0 {
 		return nil, fmt.Errorf("smt: no contexts")
 	}
-	if len(ctxs) > cfg.Contexts {
-		return nil, fmt.Errorf("smt: %d software threads exceed %d hardware contexts", len(ctxs), cfg.Contexts)
+	if n > cfg.Contexts {
+		return nil, fmt.Errorf("smt: %d software threads exceed %d hardware contexts", n, cfg.Contexts)
 	}
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = DefaultConfig().MaxSteps
@@ -139,42 +153,47 @@ func NewRunner(core *cpu.Core, cfg Config, ctxs []*coro.Context) (*Runner, error
 	return &Runner{
 		core:         core,
 		cfg:          cfg,
-		ctxs:         ctxs,
-		latencies:    make([]uint64, len(ctxs)),
-		blockedUntil: make([]uint64, len(ctxs)),
-		running:      len(ctxs),
+		src:          src,
+		latencies:    make([]uint64, n),
+		blockedUntil: make([]uint64, n),
 		start:        core.Now,
 	}, nil
 }
 
-// Done reports whether every context has halted.
+// Done reports whether the source has run dry.
 func (rn *Runner) Done() bool { return rn.done }
 
+// Steps returns the instructions retired so far.
+func (rn *Runner) Steps() uint64 { return rn.steps }
+
 // Run advances the multiplexed contexts until the core clock reaches
-// deadline or all contexts halt. done=false means the quantum expired;
-// call again with a later deadline. The loop is the original Run's,
-// with two deadline clips: the busy budget handed to the block engine
-// never extends past the deadline (in block mode the clock advances by
-// exactly the busy cycles retired, so a budget stop lands at or past
-// the deadline), and an all-blocked idle advance stops at the deadline
-// (the remaining idle is re-derived next quantum from blockedUntil, so
-// splitting the wait changes no state).
+// deadline or the source has nothing pending. done=false means the
+// deadline passed; call again with a later one. Three clips keep a
+// sliced run identical to an unsliced one: the busy budget handed to
+// the block engine never extends past the deadline or the source's
+// next arrival (in block mode the clock advances by exactly the busy
+// cycles retired, so a budget stop lands on the boundary), and an
+// all-blocked idle advance stops at the deadline (the remaining idle
+// is re-derived next call from blockedUntil, so splitting the wait
+// changes no state).
 //
 //shsim:cycle-entry
+//shsim:noalloc
 func (rn *Runner) Run(deadline uint64) (bool, error) {
 	if rn.done {
 		return true, nil
 	}
-	core := rn.core
-	cfg := rn.cfg
-	ctxs := rn.ctxs
-	for rn.running > 0 {
+	core, cfg, src := rn.core, rn.cfg, rn.src
+	n := src.Len()
+	for src.Pending() {
 		if core.Now >= deadline {
 			return false, nil
 		}
 		if rn.steps >= cfg.MaxSteps {
-			return false, fmt.Errorf("smt: MaxSteps exceeded")
+			return false, errMaxSteps
 		}
+		next, ok := src.Poll()
+		now := core.Now
 		// Pick the next runnable context, round-robin from cur. Contexts
 		// skipped over (earlier in scan order but currently blocked) may
 		// unblock while the picked one runs; preemptAt records the
@@ -183,12 +202,12 @@ func (rn *Runner) Run(deadline uint64) (bool, error) {
 		// would have re-picked them.
 		picked := -1
 		preemptAt := uint64(0)
-		for off := 0; off < len(ctxs); off++ {
-			i := (rn.cur + off) % len(ctxs)
-			if ctxs[i].Halted {
+		for off := 0; off < n; off++ {
+			i := (rn.cur + off) % n
+			if !src.RunnableAt(i) {
 				continue
 			}
-			if rn.blockedUntil[i] <= core.Now {
+			if rn.blockedUntil[i] <= now {
 				picked = i
 				break
 			}
@@ -197,42 +216,38 @@ func (rn *Runner) Run(deadline uint64) (bool, error) {
 			}
 		}
 		if picked < 0 {
-			// All runnable contexts are blocked: idle until the earliest
-			// fill completes. This is the exposed stall SMT cannot hide.
-			var soonest uint64
-			first := true
-			for i := range ctxs {
-				if ctxs[i].Halted {
-					continue
+			// Every runnable context is blocked on memory (preemptAt is
+			// the earliest fill), or none has work: idle to the earliest
+			// wake-up, arrival or deadline. This is the exposed stall SMT
+			// cannot hide.
+			wake := preemptAt
+			if ok && (wake == 0 || next < wake) {
+				wake = next
+			}
+			if wake == 0 || wake > deadline {
+				if deadline == ^uint64(0) {
+					return false, errDeadlock
 				}
-				if first || rn.blockedUntil[i] < soonest {
-					soonest = rn.blockedUntil[i]
-					first = false
-				}
+				wake = deadline
 			}
-			if first || soonest <= core.Now {
-				return false, fmt.Errorf("smt: deadlock — nothing runnable and nothing blocked")
-			}
-			if soonest > deadline {
-				soonest = deadline
-			}
-			rn.idle += soonest - core.Now
-			core.AdvanceIdle(soonest - core.Now)
+			rn.idle += wake - now
+			core.AdvanceIdle(wake - now)
 			continue
 		}
-		// The busy budget is the remaining quantum, clipped to the next
-		// wake-up of a skipped-over peer and to the kernel deadline: in
-		// block mode the clock advances by exactly the busy cycles
-		// retired, so a budget of (preemptAt − Now) stops at the first
-		// boundary where that peer is runnable.
+		// The busy budget is the remaining slice, clipped to the next
+		// wake-up of a skipped-over peer, the deadline and the next
+		// arrival: in block mode the clock advances by exactly the busy
+		// cycles retired, so a budget of (preemptAt − now) stops at the
+		// first boundary where that peer is runnable.
 		budget := cfg.Quantum - rn.sliceUsed
-		if preemptAt > core.Now && preemptAt-core.Now < budget {
-			budget = preemptAt - core.Now
+		if preemptAt > now && preemptAt-now < budget {
+			budget = preemptAt - now
 		}
-		if deadline-core.Now < budget {
-			budget = deadline - core.Now
+		if clip := exec.Budget(now, deadline, next, ok); clip != 0 && clip < budget {
+			budget = clip
 		}
-		if err := core.RunBlock(ctxs[picked], true, cfg.MaxSteps-rn.steps, budget, &rn.r); err != nil {
+		ctx := src.TaskAt(picked).Ctx
+		if err := core.RunBlock(ctx, true, cfg.MaxSteps-rn.steps, budget, &rn.r); err != nil {
 			return false, err
 		}
 		rn.steps += rn.r.Steps
@@ -241,20 +256,18 @@ func (rn *Runner) Run(deadline uint64) (bool, error) {
 		if rn.r.Stall > 0 {
 			// Block on the fill; the hardware switches to a peer for free.
 			rn.blockedUntil[picked] = core.Now + rn.r.Stall
-			ctxs[picked].StallCycles += rn.r.Stall
+			ctx.StallCycles += rn.r.Stall
 			rotate = true
 		}
 		if rn.r.Halted {
 			rn.latencies[picked] = core.Now - rn.start
-			if m := cfg.Metrics; m != nil {
-				m.Sched.Requests++
-				m.Sched.RequestLatency.Observe(core.Now - rn.start)
+			if err := src.HaltAt(picked); err != nil {
+				return false, err
 			}
-			rn.running--
 			rotate = true
 		}
 		if rotate || rn.sliceUsed >= cfg.Quantum {
-			rn.cur = (picked + 1) % len(ctxs)
+			rn.cur = (picked + 1) % n
 			rn.sliceUsed = 0
 		}
 	}
@@ -270,7 +283,8 @@ func (rn *Runner) Stats() Stats {
 		Idle:      rn.idle,
 		Latencies: rn.latencies,
 	}
-	for _, c := range rn.ctxs {
+	for i := 0; i < rn.src.Len(); i++ {
+		c := rn.src.TaskAt(i).Ctx
 		st.Busy += c.BusyCycles
 		st.Retired += c.Retired
 	}

@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/runner"
 	"repro/internal/service"
 )
@@ -145,7 +146,7 @@ func (s *Session) Serve(ctx context.Context, cfg ServiceConfig) (*ServiceReport,
 			Mach:      mach,
 			Service:   serviceKey(norm, cl),
 			Cacheable: true,
-			Run: func(m Machine) (*ExperimentResult, error) {
+			Run: func(m core.Machine) (*ExperimentResult, error) {
 				cs, err := service.RunCell(m, norm, cl)
 				if err != nil {
 					return nil, err

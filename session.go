@@ -63,17 +63,8 @@ type sessionConfig struct {
 	noSuperblocks bool
 }
 
-// WithMachine replaces the reference machine wholesale.
-//
-// Deprecated: prefer WithTopology, which carries the core count and
-// shared-LLC description alongside the per-core machine. WithMachine(m)
-// is equivalent to WithTopology(Topology{Cores: 1, Machine: m}).
-func WithMachine(m Machine) Option {
-	return func(c *sessionConfig) { c.topo = machine.Topology{Cores: 1, Machine: m} }
-}
-
-// WithSeed overrides the scenario seed (applied after WithTopology /
-// WithMachine, to the per-core template's seed).
+// WithSeed overrides the scenario seed (applied after WithTopology, to
+// the per-core template's seed).
 func WithSeed(seed int64) Option {
 	return func(c *sessionConfig) { c.seed = &seed }
 }
@@ -150,18 +141,6 @@ func WithObservability(o ObservabilityConfig) Option {
 	return func(c *sessionConfig) { c.obs = o }
 }
 
-// WithTracer installs a scheduling-event tracer that NewExecutor wires
-// into every executor the session builds (unless the ExecConfig already
-// carries one). See NewTraceRing.
-//
-// Deprecated: prefer WithObservability, which carries the tracer
-// together with the metrics registry and trace-export sink. WithTracer
-// is equivalent to WithObservability(ObservabilityConfig{Tracer: t})
-// and overwrites any previously applied observability option.
-func WithTracer(t Tracer) Option {
-	return func(c *sessionConfig) { c.obs = ObservabilityConfig{Tracer: t} }
-}
-
 // NewSession builds a session over the reference machine, then applies
 // the options in order.
 func NewSession(opts ...Option) (*Session, error) {
@@ -189,13 +168,6 @@ func NewSession(opts ...Option) (*Session, error) {
 	}
 	return s, nil
 }
-
-// Machine returns the session's per-core machine template (by value;
-// mutating the copy does not affect the session).
-//
-// Deprecated: prefer Session.Topology, which carries the whole machine
-// description; this is Topology().Machine.
-func (s *Session) Machine() Machine { return s.topo.Machine }
 
 // CacheDir returns the result-cache directory, or "" when caching is
 // disabled.
@@ -370,7 +342,7 @@ func (s *Session) Preflight() error {
 }
 
 // Observability returns the session's observation surface as
-// configured by WithObservability (or the WithTracer alias).
+// configured by WithObservability.
 func (s *Session) Observability() ObservabilityConfig { return s.obs }
 
 // MetricsSnapshot copies the current state of the session's metrics

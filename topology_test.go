@@ -17,25 +17,6 @@ func TestWithTopology(t *testing.T) {
 	if s.Topology().Machine.Seed != 7 {
 		t.Errorf("seed = %d, want 7 (WithSeed applies after WithTopology)", s.Topology().Machine.Seed)
 	}
-	if s.Machine() != s.Topology().Machine {
-		t.Error("deprecated Session.Machine diverged from Topology().Machine")
-	}
-}
-
-func TestWithMachineIsSingleCoreTopology(t *testing.T) {
-	m := DefaultTopology(1).Machine
-	m.MemBytes = 32 << 20
-	s, err := NewSession(WithMachine(m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo := s.Topology()
-	if topo.Cores != 1 {
-		t.Errorf("WithMachine built %d cores, want 1", topo.Cores)
-	}
-	if topo.Machine.MemBytes != 32<<20 {
-		t.Error("WithMachine template lost")
-	}
 }
 
 func TestSessionRunMachine(t *testing.T) {
