@@ -64,14 +64,12 @@
 //
 // Execution speed comes from a three-tier retire engine: per-instruction
 // stepping, a basic-block fast path, and a superblock trace tier that
-// chains hot blocks across predicted-taken branches (profile-guided when
-// an LBR edge profile exists, static heuristics otherwise). Superblocks
-// are on by default and bit-identical to stepping; WithSuperblocks(false)
-// opts a session out for A/B measurement. Attaching an observer (tracing,
-// PEBS sampling) bypasses both fast tiers automatically — profiled runs
-// always see the full per-instruction event stream:
-//
-//	s, _ = repro.NewSession(repro.WithSuperblocks(false)) // force the block/step tiers
+// chains basic blocks across statically predicted branches (backward
+// taken, forward not taken). Every simulated core installs both fast
+// tiers itself; they are always on and bit-identical to stepping, so
+// there is nothing to configure. Attaching an observer (PEBS sampling,
+// shprof) bypasses both fast tiers automatically — profiled runs always
+// see the full per-instruction event stream.
 //
 // Many-core simulation is cut around Topology: each simulated core owns
 // a private L1/L2 and runs on its own goroutine; all cores share a
@@ -121,4 +119,5 @@
 //	Machine                 → Topology.Machine's type (removed)
 //	NewHarness(specs...)    → Session.NewHarness(specs...) (removed)
 //	WithTracer(t)           → WithObservability(ObservabilityConfig{Tracer: t}) (removed)
+//	WithSuperblocks(b)      → nothing: the superblock tier is always on (removed)
 package repro

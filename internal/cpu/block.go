@@ -14,40 +14,29 @@ import (
 // insertion works — so the per-instruction dispatch cost of StepInto
 // (call, StepResult reset, observer nil-check) dominates simulator time
 // in exactly the runs we care most about. RunBlock retires whole
-// straight-line runs in one tight loop: pure-ALU prefixes execute fused
-// with their aggregate busy cost precomputed in a BlockPlan, memory
-// operations still consult the hierarchy at their exact per-instruction
-// cycle (MSHR and fill timing are unchanged), and control returns to the
-// executor only at yields, halts, faults, fuel exhaustion, or — in SMT
-// block mode — exposed stalls and quantum expiry.
+// straight-line stretches in one tight loop: pure-ALU segments execute
+// fused with their aggregate busy cost precomputed in the core's block
+// plan (built by NewCore), memory operations still consult the hierarchy
+// at their exact per-instruction cycle (MSHR and fill timing are
+// unchanged), and control returns to the executor only at yields, halts,
+// faults, fuel exhaustion, or — in SMT block mode — exposed stalls and
+// quantum expiry.
 //
 // The contract with StepInto is byte-identical observable behaviour:
 // registers, flags, the clock, every per-PC counter, hierarchy state and
 // fault surfaces must not differ. internal/cpu/block_test.go pins this
 // differentially over random programs; FuzzBlockVsStep extends it to
 // arbitrary seeds. Profiling runs must see every retirement, so RunBlock
-// falls back to a StepInto loop whenever observers are attached (or no
-// plan is installed) — the PEBS/LBR event stream stays bit-identical.
+// falls back to a StepInto loop whenever observers are attached (or the
+// plan was cleared) — the PEBS/LBR event stream stays bit-identical.
 
-// BlockRun is one straight-line run [Start, End) of instructions
-// containing no control transfer (branch, call, ret), no yield and no
-// halt. Runs are typically derived from the binary CFG by
-// bincfg.FastPathRuns and installed on a core with InstallPlan.
-type BlockRun struct {
-	Start, End int
-}
-
-// BlockPlan is the per-program fast-path metadata, precomputed once and
-// indexed by PC in RunBlock's inner loop. All three tables carry a
-// sentinel entry at len(instrs) so the backward construction scan and
-// the engine never bounds-branch separately.
-type BlockPlan struct {
-	// runEnd[pc] is one past the last instruction of the straight-line
-	// run containing pc: the position of the next branch/call/ret/
-	// yield/halt at or after pc. Stopper PCs map to themselves.
-	runEnd []int32
+// blockPlan is the per-program fused-ALU metadata, precomputed once and
+// indexed by PC in RunBlock's inner loop. Both tables carry a sentinel
+// entry at len(instrs) so the backward construction scan never
+// bounds-branches separately.
+type blockPlan struct {
 	// aluEnd[pc] is one past the last instruction of the maximal fused
-	// prefix starting at pc: consecutive pure-ALU instructions (moves,
+	// segment starting at pc: consecutive pure-ALU instructions (moves,
 	// arithmetic, logic, shifts, compares) that cannot fault, stall,
 	// touch memory, or transfer control. Non-fusable PCs map to
 	// themselves.
@@ -56,17 +45,6 @@ type BlockPlan struct {
 	aluCost []uint64
 }
 
-// RunEnd returns one past the last instruction of the straight-line run
-// containing pc (pc itself for branches, calls, rets, yields and halts).
-func (p *BlockPlan) RunEnd(pc int) int { return int(p.runEnd[pc]) }
-
-// FusedEnd returns one past the last instruction of the fused pure-ALU
-// segment starting at pc (pc itself when instrs[pc] is not fusable).
-func (p *BlockPlan) FusedEnd(pc int) int { return int(p.aluEnd[pc]) }
-
-// FusedCost returns the aggregate busy cost of [pc, FusedEnd(pc)).
-func (p *BlockPlan) FusedCost(pc int) uint64 { return p.aluCost[pc] }
-
 // fusableALU reports whether op can run inside a fused segment: it
 // writes only registers and flags, costs a statically known number of
 // busy cycles, and can neither fault nor stall nor transfer control.
@@ -74,36 +52,13 @@ func fusableALU(op isa.Op) bool {
 	return op <= isa.OpShrI || op == isa.OpCmp || op == isa.OpCmpI
 }
 
-// blockStopper reports whether op ends a straight-line run: the
-// executor (or the engine's own branch handling) takes over at it.
-func blockStopper(op isa.Op) bool {
-	return op.IsBranch() || op == isa.OpRet || op == isa.OpHalt || op.IsYield()
-}
-
-// InstallPlan precomputes the fast-path metadata over the given
-// straight-line runs (typically bincfg.FastPathRuns) and enables the
-// block engine on this core. Runs only widen runEnd bookkeeping; the
-// fused-segment tables are derived from the instruction stream and the
-// core's cost table alone, so a conservative (even empty) run set is
-// safe — RunBlock degrades to per-instruction dispatch, never to wrong
-// answers.
-func (c *Core) InstallPlan(runs []BlockRun) {
+// installPlan precomputes the fused-segment tables from the instruction
+// stream and the core's cost table, enabling the block engine.
+func (c *Core) installPlan() {
 	n := len(c.instrs)
-	p := &BlockPlan{
-		runEnd:  make([]int32, n+1),
+	p := &blockPlan{
 		aluEnd:  make([]int32, n+1),
 		aluCost: make([]uint64, n+1),
-	}
-	for i := 0; i <= n; i++ {
-		p.runEnd[i] = int32(i)
-	}
-	for _, r := range runs {
-		if r.Start < 0 || r.End > n || r.Start >= r.End {
-			continue
-		}
-		for pc := r.Start; pc < r.End; pc++ {
-			p.runEnd[pc] = int32(r.End)
-		}
 	}
 	// Backward scan: aluEnd[pc+1] is always >= pc+1 (non-fusable PCs map
 	// to themselves, the sentinel maps to n), so a fusable pc simply
@@ -120,15 +75,9 @@ func (c *Core) InstallPlan(runs []BlockRun) {
 	c.plan = p
 }
 
-// HasPlan reports whether a block plan is installed.
-func (c *Core) HasPlan() bool { return c.plan != nil }
-
 // ClearPlan removes the block plan, forcing RunBlock onto the
 // per-instruction StepInto fallback (used by equivalence tests).
 func (c *Core) ClearPlan() { c.plan = nil }
-
-// Plan returns the installed block plan, or nil.
-func (c *Core) Plan() *BlockPlan { return c.plan }
 
 // BlockResult reports why a RunBlock call stopped and what it retired.
 type BlockResult struct {
@@ -162,7 +111,7 @@ type BlockResult struct {
 // control to the executor, which only ever needs to act at yields and
 // halts. Semantics, clock movement and counter updates are byte-for-byte
 // those of an equivalent StepInto sequence; when observers are attached
-// (profiling runs) or no plan is installed, the call literally is a
+// (profiling runs) or the plan was cleared, the call literally is a
 // StepInto sequence, so the observer event stream is unchanged.
 //
 //shsim:noalloc
@@ -185,7 +134,7 @@ func (c *Core) RunBlock(ctx *coro.Context, block bool, fuel, busyBudget uint64, 
 		steps    uint64
 		busyAcc  uint64
 		sbEntry  = c.sbEntry
-		// InstallSuperblocks builds the entry table even when the deriver
+		// installSuperblocks builds the entry table even when the deriver
 		// found no traces; probing it per PC would then be pure overhead,
 		// so the tier arms only when at least one trace exists.
 		trySB = len(c.sbs) > 0

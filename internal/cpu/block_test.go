@@ -11,31 +11,6 @@ import (
 	"repro/internal/metrics"
 )
 
-// fastRuns derives straight-line runs by a linear stopper scan — the
-// in-package mirror of bincfg.FastPathRuns, which cannot be imported
-// here without an import cycle. The engine's correctness does not depend
-// on run granularity (InstallPlan treats runs as advisory), so the two
-// derivations are interchangeable for these tests.
-func fastRuns(prog *isa.Program) []BlockRun {
-	stopper := func(op isa.Op) bool {
-		return op.IsBranch() || op == isa.OpRet || op == isa.OpHalt || op.IsYield()
-	}
-	var runs []BlockRun
-	start := 0
-	for pc := range prog.Instrs {
-		if stopper(prog.Instrs[pc].Op) {
-			if pc > start {
-				runs = append(runs, BlockRun{Start: start, End: pc})
-			}
-			start = pc + 1
-		}
-	}
-	if len(prog.Instrs) > start {
-		runs = append(runs, BlockRun{Start: start, End: len(prog.Instrs)})
-	}
-	return runs
-}
-
 // engineRig is one independent core+memory+context triple, so the two
 // engines under differential test cannot share mutable state.
 type engineRig struct {
@@ -75,11 +50,11 @@ func (r *engineRig) driveStep(block bool, maxSteps int) {
 	}
 }
 
-// driveBlock retires through the block engine with a plan installed,
-// deliberately chopping fuel into rng-sized pieces so calls stop at
-// arbitrary points inside and between fused segments.
+// driveBlock retires through the block engine with the superblock tier
+// cleared, deliberately chopping fuel into rng-sized pieces so calls
+// stop at arbitrary points inside and between fused segments.
 func (r *engineRig) driveBlock(block bool, budget uint64, maxSteps int, rng *rand.Rand) {
-	r.core.InstallPlan(fastRuns(r.core.Prog))
+	r.core.ClearSuperblocks()
 	var res BlockResult
 	var used int
 	for used < maxSteps && !r.ctx.Halted {
@@ -225,7 +200,7 @@ func TestBlockVsStepYields(t *testing.T) {
 	arena := make([]uint64, 512)
 	a := newEngineRig(prog, initRegs, arena)
 	b := newEngineRig(prog, initRegs, arena)
-	b.core.InstallPlan(fastRuns(prog))
+	b.core.ClearSuperblocks()
 
 	// Drive both engines yield-by-yield, checking mask parity at each.
 	var sr StepResult
@@ -286,7 +261,6 @@ func TestBlockVsStepFaults(t *testing.T) {
 func TestRunBlockHaltedContextFaults(t *testing.T) {
 	prog := &isa.Program{Instrs: []isa.Instr{{Op: isa.OpHalt}}}
 	rig := newEngineRig(prog, [isa.NumRegs]uint64{}, make([]uint64, 8))
-	rig.core.InstallPlan(fastRuns(prog))
 	var res BlockResult
 	if err := rig.core.RunBlock(rig.ctx, false, 10, 0, &res); err != nil || !res.Halted {
 		t.Fatalf("halt run: err=%v halted=%v", err, res.Halted)
@@ -299,39 +273,28 @@ func TestRunBlockHaltedContextFaults(t *testing.T) {
 	}
 }
 
-// TestInstallPlanTables checks the precomputed plan against a hand-worked
-// program: fused segment extents, aggregate costs, and run extents.
+// TestInstallPlanTables checks the plan NewCore installs against a
+// hand-worked program: fused segment extents and aggregate costs.
 func TestInstallPlanTables(t *testing.T) {
 	prog := &isa.Program{Instrs: []isa.Instr{
 		{Op: isa.OpAddI, Rd: 1, Rs1: 1, Imm: 1}, // 0: fusable
 		{Op: isa.OpCmpI, Rs1: 1, Imm: 10},       // 1: fusable
 		{Op: isa.OpLoad, Rd: 2, Rs1: 13},        // 2: memory — not fusable
 		{Op: isa.OpAddI, Rd: 1, Rs1: 1, Imm: 2}, // 3: fusable
-		{Op: isa.OpJlt, Imm: 0},                 // 4: stopper
-		{Op: isa.OpHalt},                        // 5: stopper
+		{Op: isa.OpJlt, Imm: 0},                 // 4: branch — not fusable
+		{Op: isa.OpHalt},                        // 5: not fusable
 	}}
 	rig := newEngineRig(prog, [isa.NumRegs]uint64{}, make([]uint64, 8))
-	rig.core.InstallPlan(fastRuns(prog))
-	p := rig.core.Plan()
+	p := rig.core.plan
 
-	wantALUEnd := []int{2, 2, 2, 4, 4, 5}
-	for pc, want := range wantALUEnd {
-		if got := p.FusedEnd(pc); got != want {
-			t.Errorf("FusedEnd(%d) = %d, want %d", pc, got, want)
-		}
+	wantALUEnd := []int32{2, 2, 2, 4, 4, 5, 6}
+	if !reflect.DeepEqual(p.aluEnd, wantALUEnd) {
+		t.Errorf("aluEnd = %v, want %v", p.aluEnd, wantALUEnd)
 	}
 	alu := rig.core.Cfg.CostALU
-	wantCost := []uint64{2 * alu, alu, 0, alu, 0, 0}
-	for pc, want := range wantCost {
-		if got := p.FusedCost(pc); got != want {
-			t.Errorf("FusedCost(%d) = %d, want %d", pc, got, want)
-		}
-	}
-	wantRunEnd := []int{4, 4, 4, 4, 4, 5}
-	for pc, want := range wantRunEnd {
-		if got := p.RunEnd(pc); got != want {
-			t.Errorf("RunEnd(%d) = %d, want %d", pc, got, want)
-		}
+	wantCost := []uint64{2 * alu, alu, 0, alu, 0, 0, 0}
+	if !reflect.DeepEqual(p.aluCost, wantCost) {
+		t.Errorf("aluCost = %v, want %v", p.aluCost, wantCost)
 	}
 }
 
@@ -357,7 +320,6 @@ func TestRunBlockObserverFallback(t *testing.T) {
 		rec := &blockEventRecorder{}
 		rig.core.Observe(rec)
 		if useBlock {
-			rig.core.InstallPlan(fastRuns(prog))
 			var res BlockResult
 			for !rig.ctx.Halted {
 				if err := rig.core.RunBlock(rig.ctx, false, 1<<20, 0, &res); err != nil {

@@ -45,9 +45,9 @@ type Core struct {
 	// instead of running the cost-model switch on every instruction.
 	costs [isa.NumOps]uint64
 
-	// plan, when installed, enables the basic-block fast path
-	// (RunBlock); see block.go. Nil means per-instruction dispatch.
-	plan *BlockPlan
+	// plan enables the basic-block fast path (RunBlock); see block.go.
+	// Nil (after ClearPlan) means per-instruction dispatch.
+	plan *blockPlan
 
 	// Superblock tier (superblock.go): sbEntry[pc] indexes sbs when pc
 	// heads an installed trace, -1 otherwise; nil disables the tier.
@@ -61,7 +61,9 @@ type Core struct {
 	lastBranchAt uint64 // clock of the previous taken transfer (LBR delta base)
 }
 
-// NewCore assembles a core over a program, backing memory and hierarchy.
+// NewCore assembles a core over a program, backing memory and hierarchy,
+// and installs its fast tiers: the fused-ALU block plan and the static
+// superblock set (block.go, superblock.go).
 func NewCore(cfg Config, prog *isa.Program, m *mem.Memory, h *mem.Hierarchy) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -69,7 +71,7 @@ func NewCore(cfg Config, prog *isa.Program, m *mem.Memory, h *mem.Hierarchy) (*C
 	if err := prog.Validate(); err != nil {
 		return nil, err
 	}
-	return &Core{
+	c := &Core{
 		Cfg:      cfg,
 		Prog:     prog,
 		Mem:      m,
@@ -77,7 +79,12 @@ func NewCore(cfg Config, prog *isa.Program, m *mem.Memory, h *mem.Hierarchy) (*C
 		instrs:   prog.Instrs,
 		costs:    cfg.costTable(),
 		Counters: NewCounters(len(prog.Instrs)),
-	}, nil
+	}
+	c.installPlan()
+	if err := c.installSuperblocks(deriveSuperblocks(c.instrs, sbMinLen)); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // MustNewCore panics on configuration errors.

@@ -9,10 +9,10 @@ import (
 )
 
 // This file is the superblock (trace) execution tier above the
-// basic-block engine. A superblock chains hot basic blocks across
-// predicted-taken branches — typically discovered by bincfg from the CFG
-// plus pebs LBR edge counts — into one pre-decoded trace with a
-// specialized retire loop:
+// basic-block engine. A superblock chains basic blocks across
+// predicted-taken branches — derived by NewCore from the static
+// backward-taken/forward-not-taken prediction — into one pre-decoded
+// trace with a specialized retire loop:
 //
 //   - pure-ALU stretches are compiled to micro-ops with pre-extended
 //     immediates, pre-masked shift amounts and pre-masked register
@@ -36,23 +36,98 @@ import (
 // The fallback ladder is literal: a superblock step that cannot proceed
 // (fuel, SMT busy budget, side exit) drops to RunBlock's block dispatch
 // at an exact instruction boundary, and RunBlock itself drops to the
-// per-instruction StepInto loop when observers are attached or no plan
-// is installed. Every stop condition, fault surface, counter and clock
+// per-instruction StepInto loop when observers are attached or the plan
+// was cleared. Every stop condition, fault surface, counter and clock
 // movement is byte-identical to the equivalent RunBlock (and therefore
 // StepInto) sequence; internal/cpu/superblock_test.go pins this
 // differentially and FuzzSuperblockVsBlock extends it to arbitrary
 // seeds.
+//
+// Trace selection is cycle-domain: the traces decide how the simulated
+// clock advances, so the deriver below iterates only slices, never maps.
 
-// SuperblockSpec describes one trace to compile: the chained program
-// counters in predicted execution order. Consecutive entries must be
-// connected — pcs[i+1] is pcs[i]+1 for straight-line instructions, and
-// either the fall-through or the branch target for branches (the chain
-// direction *is* the prediction). Loop marks a trace whose final branch
-// is predicted to re-enter the trace head (a loop superblock); a
-// non-loop trace simply exits after its last instruction.
-type SuperblockSpec struct {
+// sbSpec describes one trace to compile: the chained program counters in
+// predicted execution order. Consecutive entries must be connected —
+// pcs[i+1] is pcs[i]+1 for straight-line instructions, and either the
+// fall-through or the branch target for branches (the chain direction
+// *is* the prediction). Loop marks a trace whose final branch is
+// predicted to re-enter the trace head (a loop superblock); a non-loop
+// trace simply exits after its last instruction.
+type sbSpec struct {
 	PCs  []int
 	Loop bool
+}
+
+const (
+	// sbMaxLen bounds a single trace; longer chains see diminishing
+	// returns and cost compile time and memo slots.
+	sbMaxLen = 512
+	// sbMinLen is the shortest trace worth installing: below it the
+	// entry check costs as much as the specialized loop saves.
+	sbMinLen = 4
+)
+
+// deriveSuperblocks derives the static trace set for instrs, a validated
+// program (every branch target in range). Trace heads
+// are pc 0 and every backward-branch target, in program order of the
+// branches that name them. From each head the trace follows
+// straight-line flow and the predicted direction of each branch —
+// backward conditionals (loop latches) and unconditional jumps taken,
+// forward conditionals falling through — until it meets an untraceable
+// instruction, re-enters itself (closing a loop trace when it re-enters
+// at the head), or reaches sbMaxLen. Traces shorter than minLen are
+// dropped.
+func deriveSuperblocks(instrs []isa.Instr, minLen int) []sbSpec {
+	n := len(instrs)
+	isHead := make([]bool, n)
+	heads := make([]int, 0, 8)
+	addHead := func(pc int) {
+		if pc < n && !isHead[pc] && sbTraceable(instrs[pc].Op) {
+			isHead[pc] = true
+			heads = append(heads, pc)
+		}
+	}
+	addHead(0)
+	for pc := range instrs {
+		in := &instrs[pc]
+		if (in.Op == isa.OpJmp || in.Op.IsConditional()) && in.Target() <= pc {
+			addHead(in.Target())
+		}
+	}
+
+	inTrace := make([]bool, n) // per-trace scratch, reset after each walk
+	var specs []sbSpec
+	for _, head := range heads {
+		pcs := make([]int, 0, 16)
+		loop := false
+		pc := head
+		for len(pcs) < sbMaxLen {
+			if pc >= n || inTrace[pc] || !sbTraceable(instrs[pc].Op) {
+				break
+			}
+			inTrace[pc] = true
+			pcs = append(pcs, pc)
+			in := &instrs[pc]
+			next := pc + 1
+			if in.Op == isa.OpJmp || in.Op.IsConditional() {
+				if in.Op == isa.OpJmp || in.Target() <= pc {
+					next = in.Target()
+				}
+				if next == head {
+					loop = true
+					break
+				}
+			}
+			pc = next
+		}
+		for _, p := range pcs {
+			inTrace[p] = false
+		}
+		if len(pcs) >= minLen {
+			specs = append(specs, sbSpec{PCs: pcs, Loop: loop})
+		}
+	}
+	return specs
 }
 
 // Superblock step kinds.
@@ -108,14 +183,14 @@ type superblock struct {
 	uops  []sbUop
 }
 
-// InstallSuperblocks compiles and installs the given traces, enabling
+// installSuperblocks compiles and installs the given traces, enabling
 // the superblock tier in RunBlock. Specs are validated defensively —
 // connectivity, op admissibility, loop closure — so a buggy deriver
 // surfaces as an install error, never as wrong execution. A later spec
-// with the same entry pc replaces the earlier one. Superblocks compose
-// with (and require, at run time) an installed block plan; observers
-// disable them along with the whole block engine.
-func (c *Core) InstallSuperblocks(specs []SuperblockSpec) error {
+// with the same entry pc replaces the earlier one. Superblocks run only
+// while the block plan is installed; observers disable them along with
+// the whole block engine.
+func (c *Core) installSuperblocks(specs []sbSpec) error {
 	entry := make([]int32, len(c.instrs))
 	for i := range entry {
 		entry[i] = -1
@@ -139,9 +214,6 @@ func (c *Core) InstallSuperblocks(specs []SuperblockSpec) error {
 	return nil
 }
 
-// HasSuperblocks reports whether a superblock set is installed.
-func (c *Core) HasSuperblocks() bool { return c.sbEntry != nil }
-
 // ClearSuperblocks removes the superblock set, dropping RunBlock back to
 // plain block dispatch (used by equivalence tests).
 func (c *Core) ClearSuperblocks() {
@@ -161,7 +233,7 @@ func sbTraceable(op isa.Op) bool {
 
 // compileSuperblock validates one spec against the program and compiles
 // it into step/micro-op form.
-func (c *Core) compileSuperblock(spec *SuperblockSpec) (*superblock, error) {
+func (c *Core) compileSuperblock(spec *sbSpec) (*superblock, error) {
 	pcs := spec.PCs
 	if len(pcs) == 0 {
 		return nil, fmt.Errorf("cpu: empty superblock spec")

@@ -8,74 +8,13 @@ import (
 	"repro/internal/isa"
 )
 
-// sbDeriveSpecs derives static-BTFN superblock traces by a linear scan —
-// the in-package mirror of bincfg.SuperblockSpecs, which cannot be
-// imported here without an import cycle. Correctness does not depend on
-// which traces are chosen (InstallSuperblocks validates and the engine
-// side-exits on any misprediction), so the two derivations are
-// interchangeable for these tests.
-func sbDeriveSpecs(prog *isa.Program) []SuperblockSpec {
-	n := len(prog.Instrs)
-	chainable := func(op isa.Op) bool {
-		return fusableALU(op) || op == isa.OpLoad || op == isa.OpStore ||
-			op == isa.OpJmp || op.IsConditional()
-	}
-	isHead := make([]bool, n)
-	var heads []int
-	addHead := func(pc int) {
-		if pc >= 0 && pc < n && !isHead[pc] && chainable(prog.Instrs[pc].Op) {
-			isHead[pc] = true
-			heads = append(heads, pc)
-		}
-	}
-	addHead(0)
-	for pc := range prog.Instrs {
-		in := &prog.Instrs[pc]
-		if (in.Op == isa.OpJmp || in.Op.IsConditional()) && in.Target() <= pc {
-			addHead(in.Target())
-		}
-	}
-	inTrace := make([]bool, n)
-	var specs []SuperblockSpec
-	for _, head := range heads {
-		var pcs []int
-		loop := false
-		pc := head
-		for len(pcs) < 512 {
-			if pc < 0 || pc >= n || inTrace[pc] || !chainable(prog.Instrs[pc].Op) {
-				break
-			}
-			inTrace[pc] = true
-			pcs = append(pcs, pc)
-			in := &prog.Instrs[pc]
-			next := pc + 1
-			if in.Op == isa.OpJmp || (in.Op.IsConditional() && in.Target() <= pc) {
-				next = in.Target()
-			}
-			if (in.Op == isa.OpJmp || in.Op.IsConditional()) && next == head {
-				loop = true
-				break
-			}
-			pc = next
-		}
-		for _, p := range pcs {
-			inTrace[p] = false
-		}
-		if len(pcs) >= 2 {
-			// Deliberately lower than bincfg's minimum: short traces widen
-			// differential coverage of entry/exit boundaries.
-			specs = append(specs, SuperblockSpec{PCs: pcs, Loop: loop})
-		}
-	}
-	return specs
-}
-
-// driveSuper retires through the superblock tier (block plan plus
-// derived traces), chopping fuel into rng-sized pieces so calls stop at
-// arbitrary points inside and between trace activations.
+// driveSuper retires through the superblock tier, chopping fuel into
+// rng-sized pieces so calls stop at arbitrary points inside and between
+// trace activations. Traces down to two instructions are installed —
+// shorter than production's sbMinLen — to widen differential coverage of
+// entry and exit boundaries.
 func (r *engineRig) driveSuper(block bool, budget uint64, maxSteps int, rng *rand.Rand) {
-	r.core.InstallPlan(fastRuns(r.core.Prog))
-	if err := r.core.InstallSuperblocks(sbDeriveSpecs(r.core.Prog)); err != nil {
+	if err := r.core.installSuperblocks(deriveSuperblocks(r.core.instrs, 2)); err != nil {
 		r.err = err
 		return
 	}
@@ -256,10 +195,6 @@ func TestSuperblockFlushInvalidation(t *testing.T) {
 	}
 	a := newEngineRig(prog, initRegs, arena)
 	b := newEngineRig(prog, initRegs, arena)
-	b.core.InstallPlan(fastRuns(prog))
-	if err := b.core.InstallSuperblocks(sbDeriveSpecs(prog)); err != nil {
-		t.Fatal(err)
-	}
 	var sr StepResult
 	var br BlockResult
 	for !b.ctx.Halted {
@@ -294,10 +229,6 @@ func TestSuperblockMemoArms(t *testing.T) {
         halt
     `)
 	rig := newEngineRig(prog, [isa.NumRegs]uint64{}, make([]uint64, 64))
-	rig.core.InstallPlan(fastRuns(prog))
-	if err := rig.core.InstallSuperblocks(sbDeriveSpecs(prog)); err != nil {
-		t.Fatal(err)
-	}
 	var res BlockResult
 	for !rig.ctx.Halted {
 		if err := rig.core.RunBlock(rig.ctx, false, 1<<20, 0, &res); err != nil {
@@ -342,10 +273,6 @@ func TestSuperblockObserverFallback(t *testing.T) {
 		rec := &blockEventRecorder{}
 		rig.core.Observe(rec)
 		if useSuper {
-			rig.core.InstallPlan(fastRuns(prog))
-			if err := rig.core.InstallSuperblocks(sbDeriveSpecs(prog)); err != nil {
-				t.Fatal(err)
-			}
 			var res BlockResult
 			for !rig.ctx.Halted {
 				if err := rig.core.RunBlock(rig.ctx, false, 1<<20, 0, &res); err != nil {
@@ -373,6 +300,100 @@ func TestSuperblockObserverFallback(t *testing.T) {
 	assertRigsEqual(t, "sb-observer-fallback", a, b)
 }
 
+// TestDeriveSuperblocks pins the production deriver on a hand-worked
+// program: heads only at pc 0 and backward-branch targets, the static
+// prediction of each branch, loop closure at the head, the stops at
+// prefetch, yield and call, the minimum-length filter and the length
+// cap — and that NewCore installs both fast tiers from it.
+func TestDeriveSuperblocks(t *testing.T) {
+	prog := isa.MustAssemble(`
+        movi r1, 0          ; 0  head: program entry
+    top:
+        addi r1, r1, 1      ; 1  head: target of the backward jlt
+        cmpi r1, 5          ; 2
+        jeq  mid            ; 3  forward conditional: falls through
+        load r3, [r13]      ; 4
+        cmpi r1, 10         ; 5
+        jlt  top            ; 6  backward conditional: taken
+    pf:
+        addi r2, r2, 1      ; 7  head: target of the backward jmp
+    mid:
+        addi r2, r2, 2      ; 8  forward target only: not a head
+        prefetch [r13]      ; 9  ends the trace headed at 7
+        yield 0x8000        ; 10
+        jmp  pf             ; 11
+    y:
+        addi r3, r3, 1      ; 12 head
+        addi r3, r3, 1      ; 13
+        addi r3, r3, 1      ; 14
+        addi r3, r3, 1      ; 15
+        yield 0x8000        ; 16 ends the trace headed at 12
+        jne  y              ; 17
+    c:
+        movi r4, 0          ; 18 head
+        jmp  c2             ; 19 forward jmp: taken
+        halt                ; 20
+    c2:
+        addi r4, r4, 1      ; 21
+        addi r4, r4, 1      ; 22
+        call sub            ; 23 ends the trace headed at 18
+        jge  c              ; 24
+        halt                ; 25
+    sub:
+        ret                 ; 26
+    `)
+	span := func(lo, hi int) []int {
+		var pcs []int
+		for pc := lo; pc <= hi; pc++ {
+			pcs = append(pcs, pc)
+		}
+		return pcs
+	}
+	want := []sbSpec{
+		{PCs: span(0, 6)}, // re-enters the trace at 1, not at its head
+		{PCs: span(1, 6), Loop: true},
+		{PCs: span(12, 15)},
+		{PCs: []int{18, 19, 21, 22}},
+	}
+	if got := deriveSuperblocks(prog.Instrs, sbMinLen); !reflect.DeepEqual(got, want) {
+		t.Errorf("deriveSuperblocks(sbMinLen) =\n %+v\nwant\n %+v", got, want)
+	}
+	short := append(want[:2:2], sbSpec{PCs: []int{7, 8}})
+	short = append(short, want[2:]...)
+	if got := deriveSuperblocks(prog.Instrs, 2); !reflect.DeepEqual(got, short) {
+		t.Errorf("deriveSuperblocks(2) =\n %+v\nwant\n %+v", got, short)
+	}
+
+	core := newEngineRig(prog, [isa.NumRegs]uint64{}, make([]uint64, 8)).core
+	if core.plan == nil {
+		t.Fatal("NewCore installed no block plan")
+	}
+	for pc, head := range []bool{0: true, 1: true, 12: true, 18: true, 26: false} {
+		if got := core.sbEntry[pc] >= 0; got != head {
+			t.Errorf("NewCore: trace at pc %d = %v, want %v", pc, got, head)
+		}
+	}
+
+	if got := deriveSuperblocks(nil, sbMinLen); got != nil {
+		t.Errorf("empty program: got %+v, want no traces", got)
+	}
+
+	// A straight line longer than the cap yields one capped, open trace.
+	long := &isa.Program{}
+	for i := 0; i < sbMaxLen+100; i++ {
+		long.Instrs = append(long.Instrs, isa.Instr{Op: isa.OpAddI, Rd: 1, Rs1: 1, Imm: 1})
+	}
+	long.Instrs = append(long.Instrs, isa.Instr{Op: isa.OpJmp, Imm: 0})
+	got := deriveSuperblocks(long.Instrs, sbMinLen)
+	if len(got) != 1 {
+		t.Fatalf("long straight line: got %d traces, want 1", len(got))
+	}
+	if !reflect.DeepEqual(got[0].PCs, span(0, sbMaxLen-1)) || got[0].Loop {
+		t.Errorf("long straight line: trace of %d pcs (loop %v), want pcs 0..%d, open",
+			len(got[0].PCs), got[0].Loop, sbMaxLen-1)
+	}
+}
+
 // TestInstallSuperblocksValidation exercises the defensive checks: a
 // buggy deriver must be rejected at install, never mis-executed.
 func TestInstallSuperblocksValidation(t *testing.T) {
@@ -391,31 +412,31 @@ func TestInstallSuperblocksValidation(t *testing.T) {
 	rig := newEngineRig(prog, [isa.NumRegs]uint64{}, make([]uint64, 64))
 	cases := []struct {
 		name string
-		spec SuperblockSpec
+		spec sbSpec
 	}{
-		{"empty", SuperblockSpec{}},
-		{"pc out of range", SuperblockSpec{PCs: []int{0, 99}}},
-		{"negative pc", SuperblockSpec{PCs: []int{-1}}},
-		{"not traceable (call)", SuperblockSpec{PCs: []int{5}}},
-		{"disconnected", SuperblockSpec{PCs: []int{0, 2}}},
-		{"branch to unrelated pc", SuperblockSpec{PCs: []int{3, 4, 0}}},
-		{"loop closing on non-branch", SuperblockSpec{PCs: []int{1, 2}, Loop: true}},
+		{"empty", sbSpec{}},
+		{"pc out of range", sbSpec{PCs: []int{0, 99}}},
+		{"negative pc", sbSpec{PCs: []int{-1}}},
+		{"not traceable (call)", sbSpec{PCs: []int{5}}},
+		{"disconnected", sbSpec{PCs: []int{0, 2}}},
+		{"branch to unrelated pc", sbSpec{PCs: []int{3, 4, 0}}},
+		{"loop closing on non-branch", sbSpec{PCs: []int{1, 2}, Loop: true}},
 	}
 	for _, tc := range cases {
-		if err := rig.core.InstallSuperblocks([]SuperblockSpec{tc.spec}); err == nil {
+		if err := rig.core.installSuperblocks([]sbSpec{tc.spec}); err == nil {
 			t.Errorf("%s: install accepted invalid spec %+v", tc.name, tc.spec)
 		}
 	}
 	// And the valid loop trace installs.
-	valid := SuperblockSpec{PCs: []int{1, 2, 3, 4}, Loop: true}
-	if err := rig.core.InstallSuperblocks([]SuperblockSpec{valid}); err != nil {
+	valid := sbSpec{PCs: []int{1, 2, 3, 4}, Loop: true}
+	if err := rig.core.installSuperblocks([]sbSpec{valid}); err != nil {
 		t.Fatalf("valid loop spec rejected: %v", err)
 	}
-	if !rig.core.HasSuperblocks() {
-		t.Fatal("HasSuperblocks false after install")
+	if len(rig.core.sbs) != 1 || rig.core.sbEntry[1] != 0 {
+		t.Fatalf("valid loop spec not installed at pc 1: %d traces", len(rig.core.sbs))
 	}
 	rig.core.ClearSuperblocks()
-	if rig.core.HasSuperblocks() {
-		t.Fatal("HasSuperblocks true after clear")
+	if rig.core.sbEntry != nil {
+		t.Fatal("superblock entry table survives ClearSuperblocks")
 	}
 }

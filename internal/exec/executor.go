@@ -27,7 +27,6 @@ package exec
 import (
 	"fmt"
 
-	"repro/internal/bincfg"
 	"repro/internal/coro"
 	"repro/internal/cpu"
 	"repro/internal/isa"
@@ -50,14 +49,6 @@ type Config struct {
 	HWAssistProbeCost uint64
 	// MaxSteps bounds total retired instructions per run (runaway guard).
 	MaxSteps uint64
-	// DisableSuperblocks keeps the superblock trace tier off: New
-	// installs statically derived superblocks (bincfg.SuperblockSpecs)
-	// alongside the block plan unless this is set. The tier is
-	// observation-equivalent to block dispatch, and attached observers
-	// bypass it entirely (profiling sees per-instruction retires either
-	// way), so the knob exists for A/B measurement and differential
-	// tests, not correctness.
-	DisableSuperblocks bool
 	// KeepScavengersAfterPrimary lets scavengers run to completion after
 	// the primary halts (throughput accounting); when false the run ends
 	// at primary halt.
@@ -171,27 +162,15 @@ type Executor struct {
 	Cfg  Config
 }
 
-// New creates an executor. It installs the basic-block fast-path plan on
-// the core (unless one is already present), enabling cpu.RunBlock's fused
-// straight-line retire for measured runs; profiling runs with observers
-// attached automatically fall back to per-instruction dispatch.
+// New creates an executor over core. The core brings its own fast tiers
+// (cpu.NewCore installs them); profiling runs with observers attached
+// automatically fall back to per-instruction dispatch.
 func New(core *cpu.Core, cfg Config) *Executor {
 	if cfg.HideTarget == 0 {
 		cfg.HideTarget = core.Hier.Config().LatDRAM
 	}
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = DefaultConfig().MaxSteps
-	}
-	if !core.HasPlan() {
-		// The program was validated when the core was built, so plan
-		// construction cannot fail; a nil plan would only mean the slow
-		// path, never a wrong answer.
-		_ = bincfg.InstallFastPath(core)
-	}
-	if !cfg.DisableSuperblocks && !core.HasSuperblocks() {
-		// Static BTFN derivation (no profile at construction time); a
-		// failure or empty trace set degrades to block dispatch.
-		_ = bincfg.InstallSuperblocks(core, nil)
 	}
 	return &Executor{Core: core, Cfg: cfg}
 }

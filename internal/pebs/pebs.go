@@ -17,10 +17,7 @@
 // profile-to-binary mapping fidelity.
 package pebs
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // EventKind enumerates sampleable hardware events.
 type EventKind uint8
@@ -139,11 +136,6 @@ type Edge struct {
 // latency of the straight-line region entered at each branch target.
 type LBRStats struct {
 	Edges map[Edge]uint64
-	// edgeOrder remembers first-observation order so SortedEdges can
-	// export the edge profile without ranging over the map (forbidden in
-	// this cycle-domain package — iteration order would leak host
-	// randomness into anything keyed off the export).
-	edgeOrder []Edge
 	// BlockCycleSum and BlockCycleCount accumulate, per region-entry PC,
 	// the cycles until the next taken branch (sum and count, for
 	// averaging). Branch targets are program counters, so the aggregates
@@ -164,39 +156,6 @@ func NewLBRStats(progLen int) *LBRStats {
 		BlockCycleSum:   make([]uint64, progLen),
 		BlockCycleCount: make([]uint64, progLen),
 	}
-}
-
-// credit counts one traversal of e, tracking first-observation order for
-// the deterministic export.
-func (l *LBRStats) credit(e Edge) {
-	if l.Edges[e] == 0 {
-		l.edgeOrder = append(l.edgeOrder, e)
-	}
-	l.Edges[e]++
-}
-
-// EdgeCount is one exported LBR edge with its snapshot-traversal count.
-type EdgeCount struct {
-	From, To int
-	Count    uint64
-}
-
-// SortedEdges exports the observed taken-edge profile ordered by
-// (From, To) — deterministic regardless of map iteration order, so the
-// export can seed superblock derivation (bincfg.SuperblockSpecs) and
-// appear in reports without perturbing run-to-run reproducibility.
-func (l *LBRStats) SortedEdges() []EdgeCount {
-	out := make([]EdgeCount, 0, len(l.edgeOrder))
-	for _, e := range l.edgeOrder {
-		out = append(out, EdgeCount{From: e.From, To: e.To, Count: l.Edges[e]})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].To < out[j].To
-	})
-	return out
 }
 
 // AvgBlockCycles returns the observed mean latency of the region entered

@@ -167,7 +167,7 @@ func (s *Sampler) snapshot() {
 	prevTo := -1
 	for i := 0; i < n; i++ {
 		rec := s.ring[(start+i)%len(s.ring)]
-		s.lbr.credit(Edge{rec.From, rec.To})
+		s.lbr.Edges[Edge{rec.From, rec.To}]++
 		if prevTo >= 0 && prevTo < len(s.lbr.BlockCycleSum) {
 			s.lbr.BlockCycleSum[prevTo] += rec.Cycles
 			s.lbr.BlockCycleCount[prevTo]++

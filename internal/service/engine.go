@@ -332,17 +332,8 @@ func (c *cell) pump() {
 // slot's private stack and clear all per-run context state. Accounting
 // counters survive — they aggregate across requests.
 func (c *cell) arm(s *slot, req request) {
-	inst := c.part.Instances[int(req.id%uint64(len(c.part.Instances)))]
-	ctx := s.task.Ctx
-	ctx.Regs = inst.Regs
-	ctx.Regs[isa.SP] = s.stack
-	ctx.PC = c.entry
-	ctx.Flags = 0
-	ctx.Halted = false
-	ctx.Result = 0
-	ctx.LastPrefetchValid = false
-	ctx.AccelPending = false
-	s.task.Reset()
+	inst := &c.part.Instances[int(req.id%uint64(len(c.part.Instances)))]
+	rearm(s.task, inst, s.stack, c.entry)
 	s.busy = true
 	s.id = req.id
 	s.arrival = req.arrival
@@ -354,17 +345,22 @@ func (c *cell) arm(s *slot, req request) {
 func (c *cell) armBatch(b *batchTask) {
 	b.inst = c.bnext % len(c.bpart.Instances)
 	c.bnext++
-	inst := c.bpart.Instances[b.inst]
-	ctx := b.task.Ctx
+	rearm(b.task, &c.bpart.Instances[b.inst], b.stack, c.bentry)
+}
+
+// rearm restarts t at entry with inst's initial registers on the given
+// stack, clearing all per-run context state.
+func rearm(t *exec.Task, inst *workloads.Instance, stack uint64, entry int) {
+	ctx := t.Ctx
 	ctx.Regs = inst.Regs
-	ctx.Regs[isa.SP] = b.stack
-	ctx.PC = c.bentry
+	ctx.Regs[isa.SP] = stack
+	ctx.PC = entry
 	ctx.Flags = 0
 	ctx.Halted = false
 	ctx.Result = 0
 	ctx.LastPrefetchValid = false
 	ctx.AccelPending = false
-	b.task.Reset()
+	t.Reset()
 }
 
 // fill dispatches queued requests into free slots, shedding stale ones.

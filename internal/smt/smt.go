@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/bincfg"
 	"repro/internal/coro"
 	"repro/internal/cpu"
 	"repro/internal/exec"
@@ -31,11 +30,6 @@ type Config struct {
 	Quantum uint64
 	// MaxSteps bounds total retired instructions (runaway guard).
 	MaxSteps uint64
-	// DisableSuperblocks keeps the superblock trace tier off (see
-	// exec.Config.DisableSuperblocks); superblock exits respect the
-	// quantum budget and stall-block boundaries exactly, so this is an
-	// A/B and differential-testing knob, not a correctness one.
-	DisableSuperblocks bool
 }
 
 // DefaultConfig models 2-way SMT (Intel Hyper-Threading) with a fine
@@ -140,15 +134,6 @@ func NewSourceRunner(core *cpu.Core, cfg Config, src exec.Source) (*Runner, erro
 	}
 	if cfg.Quantum == 0 {
 		cfg.Quantum = DefaultConfig().Quantum
-	}
-	if !core.HasPlan() {
-		// Enable the basic-block fast path; the program was validated at
-		// core construction, so this cannot fail (and a nil plan would
-		// only mean per-instruction dispatch, never a wrong answer).
-		_ = bincfg.InstallFastPath(core)
-	}
-	if !cfg.DisableSuperblocks && !core.HasSuperblocks() {
-		_ = bincfg.InstallSuperblocks(core, nil)
 	}
 	return &Runner{
 		core:         core,
