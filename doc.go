@@ -62,14 +62,13 @@
 //	snap := s.MetricsSnapshot()            // counters + histograms
 //	_ = s.ExportTrace(f, repro.ChromeTraceOptions{}) // Perfetto-loadable JSON
 //
-// Execution speed comes from a three-tier retire engine: per-instruction
-// stepping, a basic-block fast path, and a superblock trace tier that
-// chains basic blocks across statically predicted branches (backward
-// taken, forward not taken). Every simulated core installs both fast
-// tiers itself; they are always on and bit-identical to stepping, so
-// there is nothing to configure. Attaching an observer (PEBS sampling,
-// shprof) bypasses both fast tiers automatically — profiled runs always
-// see the full per-instruction event stream.
+// Execution speed comes from a two-tier retire engine: per-instruction
+// stepping and a basic-block fast path that runs straight-line ALU
+// stretches fused. Every simulated core installs the fast tier itself;
+// it is always on and bit-identical to stepping, so there is nothing to
+// configure. Attaching an observer (PEBS sampling, shprof) bypasses it
+// automatically — profiled runs always see the full per-instruction
+// event stream.
 //
 // Many-core simulation is cut around Topology: each simulated core owns
 // a private L1/L2 and runs on its own goroutine; all cores share a
@@ -119,5 +118,5 @@
 //	Machine                 → Topology.Machine's type (removed)
 //	NewHarness(specs...)    → Session.NewHarness(specs...) (removed)
 //	WithTracer(t)           → WithObservability(ObservabilityConfig{Tracer: t}) (removed)
-//	WithSuperblocks(b)      → nothing: the superblock tier is always on (removed)
+//	WithSuperblocks(b)      → nothing: the trace tier it toggled was deleted (removed)
 package repro

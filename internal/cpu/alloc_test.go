@@ -83,7 +83,6 @@ func TestRunBlockSteadyStateAllocFree(t *testing.T) {
 	m := mem.NewMemory(1 << 20)
 	h := mem.MustNewHierarchy(mem.DefaultConfig())
 	core := MustNewCore(DefaultConfig(), prog, m, h)
-	core.ClearSuperblocks()
 	ctx := coro.NewContext(0, 0, m.Size()-8)
 
 	var res BlockResult
@@ -112,7 +111,6 @@ func BenchmarkCoreBlock(b *testing.B) {
 	m := mem.NewMemory(1 << 20)
 	h := mem.MustNewHierarchy(mem.DefaultConfig())
 	core := MustNewCore(DefaultConfig(), prog, m, h)
-	core.ClearSuperblocks()
 	ctx := coro.NewContext(0, 0, m.Size()-8)
 
 	var res BlockResult

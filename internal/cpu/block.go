@@ -133,11 +133,6 @@ func (c *Core) RunBlock(ctx *coro.Context, block bool, fuel, busyBudget uint64, 
 		absorb   = c.Cfg.PipelineAbsorb
 		steps    uint64
 		busyAcc  uint64
-		sbEntry  = c.sbEntry
-		// installSuperblocks builds the entry table even when the deriver
-		// found no traces; probing it per PC would then be pure overhead,
-		// so the tier arms only when at least one trace exists.
-		trySB = len(c.sbs) > 0
 	)
 	finish := func() {
 		ctx.PC = pc
@@ -149,30 +144,6 @@ func (c *Core) RunBlock(ctx *coro.Context, block bool, fuel, busyBudget uint64, 
 		if pc < 0 || pc >= len(instrs) {
 			finish()
 			return c.fault(ctx.ID, pc, fmt.Errorf("pc out of range")) //shsim:alloc-ok cold fault path; ends the run
-		}
-
-		// Superblock tier: when pc heads an installed trace, run its
-		// specialized retire loop until it exits back to an exact
-		// instruction boundary. A trace that cannot retire even one
-		// instruction (fuel or budget on the very first step) disables
-		// the tier for the rest of this call — fuel and budget only
-		// shrink, so retrying it would loop forever.
-		if trySB {
-			if sbi := sbEntry[pc]; sbi >= 0 {
-				done, progressed, err := c.runSuper(&c.sbs[sbi], ctx, block, fuel, busyBudget, res, &pc, &steps, &busyAcc)
-				if err != nil {
-					finish()
-					return err
-				}
-				if done {
-					finish()
-					return nil
-				}
-				if !progressed {
-					trySB = false
-				}
-				continue
-			}
 		}
 
 		// Fused pure-ALU segment: registers and flags update in a tight

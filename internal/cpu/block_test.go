@@ -50,11 +50,10 @@ func (r *engineRig) driveStep(block bool, maxSteps int) {
 	}
 }
 
-// driveBlock retires through the block engine with the superblock tier
-// cleared, deliberately chopping fuel into rng-sized pieces so calls
-// stop at arbitrary points inside and between fused segments.
+// driveBlock retires through the block engine, deliberately chopping
+// fuel into rng-sized pieces so calls stop at arbitrary points inside
+// and between fused segments.
 func (r *engineRig) driveBlock(block bool, budget uint64, maxSteps int, rng *rand.Rand) {
-	r.core.ClearSuperblocks()
 	var res BlockResult
 	var used int
 	for used < maxSteps && !r.ctx.Halted {
@@ -129,27 +128,38 @@ func diffOneProgram(t *testing.T, label string, prog *isa.Program, rng *rand.Ran
 }
 
 // TestBlockVsStepDifferential is the acceptance pin for the block
-// engine: across ≥1000 random programs the fused fast path must be
-// byte-identical to per-instruction StepInto — registers, flags, clock,
-// per-PC counters, hierarchy metrics and memory.
+// engine: across ≥1000 random programs, straight-line and looping, the
+// fused fast path must be byte-identical to per-instruction StepInto —
+// registers, flags, clock, per-PC counters, hierarchy metrics and
+// memory.
 func TestBlockVsStepDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260805))
 	for trial := 0; trial < 1000; trial++ {
 		prog := randRunnableProgram(rng, 10+rng.Intn(80), 4096)
 		diffOneProgram(t, "trial", prog, rng, false, 0)
 	}
+	for trial := 0; trial < 300; trial++ {
+		prog := randLoopProgram(rng, 5+rng.Intn(40), int64(2+rng.Intn(6)), 4096)
+		diffOneProgram(t, "loop-trial", prog, rng, false, 0)
+	}
 }
 
 // TestBlockVsStepDifferentialSMT replays random programs in block mode
 // (the SMT executor's contract): exposed stalls must surface on exactly
-// the same instruction with exactly the same magnitude, under both a
-// tight quantum budget and an effectively unbounded one.
+// the same instruction with exactly the same magnitude, and a call must
+// clip at exactly the busy cycle the reference does and resume mid-loop
+// without drift, under quantum budgets of 1 to 8 cycles.
 func TestBlockVsStepDifferentialSMT(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 300; trial++ {
 		prog := randRunnableProgram(rng, 10+rng.Intn(80), 4096)
 		budget := uint64(1 + rng.Intn(8)) // incl. quantum 4, the SMT default
 		diffOneProgram(t, "smt-trial", prog, rng, true, budget)
+	}
+	for trial := 0; trial < 150; trial++ {
+		prog := randLoopProgram(rng, 5+rng.Intn(40), int64(2+rng.Intn(6)), 4096)
+		budget := uint64(1 + rng.Intn(8))
+		diffOneProgram(t, "smt-loop-trial", prog, rng, true, budget)
 	}
 }
 
@@ -200,7 +210,6 @@ func TestBlockVsStepYields(t *testing.T) {
 	arena := make([]uint64, 512)
 	a := newEngineRig(prog, initRegs, arena)
 	b := newEngineRig(prog, initRegs, arena)
-	b.core.ClearSuperblocks()
 
 	// Drive both engines yield-by-yield, checking mask parity at each.
 	var sr StepResult
@@ -248,6 +257,30 @@ func TestBlockVsStepFaults(t *testing.T) {
 			{Op: isa.OpRet},
 			{Op: isa.OpHalt},
 		}},
+		// The stride walks the pointer out of memory after a few laps,
+		// so the fault lands mid-loop with earlier iterations retired.
+		{"load out of bounds in a loop", isa.MustAssemble(`
+            movi r2, 0
+        loop:
+            addi r1, r1, 1
+            add  r4, r2, r13
+            load r3, [r4]
+            addi r2, r2, 1048576
+            cmpi r1, 10
+            jlt  loop
+            halt
+        `).Instrs},
+		{"store out of bounds in a loop", isa.MustAssemble(`
+            movi r2, 0
+        loop:
+            addi r1, r1, 1
+            add  r4, r2, r13
+            store [r4], r1
+            addi r2, r2, 1048576
+            cmpi r1, 10
+            jlt  loop
+            halt
+        `).Instrs},
 	}
 	for _, tc := range cases {
 		prog := &isa.Program{Instrs: tc.instr}

@@ -49,21 +49,12 @@ type Core struct {
 	// Nil (after ClearPlan) means per-instruction dispatch.
 	plan *blockPlan
 
-	// Superblock tier (superblock.go): sbEntry[pc] indexes sbs when pc
-	// heads an installed trace, -1 otherwise; nil disables the tier.
-	// sbLineMask caches the hierarchy's line mask for the residency
-	// memos.
-	sbs        []superblock
-	sbEntry    []int32
-	sbLineMask uint64
-
 	observers    []Observer
 	lastBranchAt uint64 // clock of the previous taken transfer (LBR delta base)
 }
 
 // NewCore assembles a core over a program, backing memory and hierarchy,
-// and installs its fast tiers: the fused-ALU block plan and the static
-// superblock set (block.go, superblock.go).
+// and installs its fast tier, the fused-ALU block plan (block.go).
 func NewCore(cfg Config, prog *isa.Program, m *mem.Memory, h *mem.Hierarchy) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -81,9 +72,6 @@ func NewCore(cfg Config, prog *isa.Program, m *mem.Memory, h *mem.Hierarchy) (*C
 		Counters: NewCounters(len(prog.Instrs)),
 	}
 	c.installPlan()
-	if err := c.installSuperblocks(deriveSuperblocks(c.instrs, sbMinLen)); err != nil {
-		return nil, err
-	}
 	return c, nil
 }
 

@@ -74,6 +74,23 @@ func randRunnableProgram(rng *rand.Rand, n int, arenaSize int64) *isa.Program {
 	return p
 }
 
+// randLoopProgram wraps a random straight-line body in a counted loop:
+// the body (forward branches only, memory confined to the r13 arena)
+// falls through into a loop latch on r12, which the generator's body
+// never touches. Re-running the body carries fill timing, recency state
+// and fuel or budget splits across iteration boundaries.
+func randLoopProgram(rng *rand.Rand, n int, iters int64, arenaSize int64) *isa.Program {
+	p := randRunnableProgram(rng, n, arenaSize)
+	p.Instrs = p.Instrs[:len(p.Instrs)-1] // drop HALT; targets of n now hit the latch
+	p.Instrs = append(p.Instrs,
+		isa.Instr{Op: isa.OpAddI, Rd: 12, Rs1: 12, Imm: 1},
+		isa.Instr{Op: isa.OpCmpI, Rs1: 12, Imm: iters},
+		isa.Instr{Op: isa.OpJlt, Imm: 0},
+		isa.Instr{Op: isa.OpHalt},
+	)
+	return p
+}
+
 // TestDifferentialAgainstReference cross-checks the cycle-level core's
 // architectural semantics against the timing-free reference interpreter
 // on random programs: final registers, flags, results and memory must

@@ -162,9 +162,9 @@ type Executor struct {
 	Cfg  Config
 }
 
-// New creates an executor over core. The core brings its own fast tiers
-// (cpu.NewCore installs them); profiling runs with observers attached
-// automatically fall back to per-instruction dispatch.
+// New creates an executor over core. The core brings its own fast tier
+// (cpu.NewCore installs the block plan); profiling runs with observers
+// attached automatically fall back to per-instruction dispatch.
 func New(core *cpu.Core, cfg Config) *Executor {
 	if cfg.HideTarget == 0 {
 		cfg.HideTarget = core.Hier.Config().LatDRAM

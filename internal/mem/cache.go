@@ -237,27 +237,6 @@ func (c *cache) accessStamp(tag uint64, write bool) (hit, wasDirty bool) {
 	return false, wasDirty
 }
 
-// mruIndex returns the flat tags/dirty index of tag's way when tag is
-// the most-recently-used line of its set, for the packed-order layout.
-// Read-only: recency, occupancy and dirty state are untouched. ok is
-// false when the stamp fallback is active (ways > 16), the set is
-// empty, or the MRU way holds a different line — callers must then take
-// the full access path.
-func (c *cache) mruIndex(tag uint64) (uint64, bool) {
-	if c.order == nil {
-		return 0, false
-	}
-	set := (tag - 1) & c.setMask
-	if c.used[set] == 0 {
-		return 0, false
-	}
-	idx := set*uint64(c.ways) + (c.order[set] & 0xF)
-	if c.tags[idx] != tag {
-		return 0, false
-	}
-	return idx, true
-}
-
 // touch makes an occupied way the most recent in its set.
 func (c *cache) touch(set uint64, way int) {
 	if c.order != nil {

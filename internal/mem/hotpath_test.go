@@ -5,12 +5,11 @@ import (
 	"testing"
 )
 
-// This file pins the hierarchy hot-path invariants the superblock tier's
-// residency memos and the MRU-way fast path lean on: exact-LRU promotion
-// order through the packed-order probe, the read-only contract of the
-// presence probes, fills landing into a set mid-sequence, the residency
-// generation protocol behind AccessResident, and SharedLLC bank-conflict
-// accounting across quantum boundaries.
+// This file pins the hierarchy hot-path invariants the MRU-way fast path
+// leans on: exact-LRU promotion order through the packed-order probe,
+// the read-only contract of the presence probes, fills landing into a
+// set mid-sequence, and SharedLLC bank-conflict accounting across
+// quantum boundaries.
 
 // orderTags reconstructs a packed-order set's recency order, MRU first,
 // from the order word — the ground truth victim selection reads.
@@ -80,6 +79,17 @@ func TestCacheAccessMatchesReferenceLRU(t *testing.T) {
 	}
 }
 
+// wayIndex returns the flat tags/dirty index of tag's way, if resident.
+func wayIndex(c *cache, tag uint64) (uint64, bool) {
+	base := ((tag - 1) & c.setMask) * uint64(c.ways)
+	for w := base; w < base+uint64(c.ways); w++ {
+		if c.tags[w] == tag {
+			return w, true
+		}
+	}
+	return 0, false
+}
+
 // TestCacheMRUFastPathNoReorder pins the property the fast path depends
 // on: a hit on the most-recent way is a recency no-op, so skipping the
 // promotion entirely must leave the order word bit-identical — while a
@@ -96,9 +106,9 @@ func TestCacheMRUFastPathNoReorder(t *testing.T) {
 	if c.order[0] != before {
 		t.Errorf("MRU re-access changed order word: %#x -> %#x", before, c.order[0])
 	}
-	idx, ok := c.mruIndex(3)
+	idx, ok := wayIndex(c, 3)
 	if !ok {
-		t.Fatal("mruIndex(3) refused after MRU access")
+		t.Fatal("tag 3 not resident after MRU access")
 	}
 	if c.dirty[idx] {
 		t.Fatal("line dirty before any write")
@@ -174,8 +184,8 @@ func oneSetConfig() Config {
 
 // TestFillLandsMidWalk drives a fill landing into a full set between two
 // probes of that set: the reclaim walk inside a later Prefetch call must
-// install the completed fill over the exact LRU way, leave every other
-// way resident, and advance the residency generation.
+// install the completed fill over the exact LRU way and leave every
+// other way resident.
 func TestFillLandsMidWalk(t *testing.T) {
 	h := MustNewHierarchy(oneSetConfig())
 	now := uint64(0)
@@ -189,14 +199,16 @@ func TestFillLandsMidWalk(t *testing.T) {
 	if lvl != LevelDRAM || completion != 1000+h.cfg.LatDRAM {
 		t.Fatalf("prefetch served from %v completing at %d, want DRAM at %d", lvl, completion, 1000+h.cfg.LatDRAM)
 	}
-	genBefore := h.Gen()
+	if h.Contains(fillLine, completion-1, LevelL1) {
+		t.Fatal("fill resident at L1 before it completed")
+	}
 
 	// The MSHR budget is 1, so this second prefetch must reclaim the
 	// completed fill — installing fillLine into the full set mid-call.
 	h.Prefetch(0x4000, completion+100)
 
-	if h.Gen() == genBefore {
-		t.Error("fill landing did not advance the residency generation")
+	if !h.Contains(fillLine, completion+100, LevelL1) {
+		t.Error("reclaimed fill not resident at L1")
 	}
 	if !h.l1.contains(fillLine) {
 		t.Error("completed fill not installed in L1")
@@ -224,129 +236,6 @@ func TestFillLandsMidWalk(t *testing.T) {
 	}
 	if h.fills.len() != 0 {
 		t.Error("demand access did not consume the in-flight fill")
-	}
-}
-
-// TestAccessResidentMatchesAccessW locks the fast path to the slow one:
-// on a provably MRU-resident line the two must return identical results
-// and leave identical statistics, generation, and dirty state behind.
-func TestAccessResidentMatchesAccessW(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.HWPrefetchDistance = 0
-	slow, fast := MustNewHierarchy(cfg), MustNewHierarchy(cfg)
-	const addr = 0x1234
-	slow.AccessW(addr, 10, false)
-	fast.AccessW(addr, 10, false)
-
-	want := slow.AccessW(addr, 20, true)
-	got, ok := fast.AccessResident(addr, 20, true)
-	if !ok {
-		t.Fatal("AccessResident refused an MRU-resident line with no fills outstanding")
-	}
-	if got != want {
-		t.Fatalf("AccessResident = %+v, AccessW = %+v", got, want)
-	}
-	if slow.Stats != fast.Stats {
-		t.Errorf("stats diverged: slow %+v fast %+v", slow.Stats, fast.Stats)
-	}
-	if slow.Gen() != fast.Gen() {
-		t.Errorf("generation diverged: slow %d fast %d", slow.Gen(), fast.Gen())
-	}
-	// The write must have dirtied L1 on both paths: evicting the line
-	// later owes a write-back either way.
-	for name, h := range map[string]*Hierarchy{"slow": slow, "fast": fast} {
-		idx, ok := h.l1.mruIndex((h.lineAddr(addr) >> h.lineShift) + 1)
-		if !ok {
-			t.Fatalf("%s: line no longer MRU", name)
-		}
-		if !h.l1.dirty[idx] {
-			t.Errorf("%s: store did not dirty the L1 line", name)
-		}
-	}
-}
-
-// TestAccessResidentRefusals enumerates the disqualifiers: absent line,
-// resident-but-not-MRU line, and any outstanding fill. A refusal must
-// change nothing.
-func TestAccessResidentRefusals(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.HWPrefetchDistance = 0
-	h := MustNewHierarchy(cfg)
-
-	if _, ok := h.AccessResident(0, 0, false); ok {
-		t.Fatal("AccessResident hit on an empty hierarchy")
-	}
-
-	h.AccessW(0, 10, false)
-	h.AccessW(4096, 20, false) // same L1 set (64 sets × 64 B): line 0 no longer MRU
-	statsBefore, genBefore := h.Stats, h.Gen()
-	if _, ok := h.AccessResident(0, 30, false); ok {
-		t.Fatal("AccessResident hit on a non-MRU line")
-	}
-	if h.Stats != statsBefore || h.Gen() != genBefore {
-		t.Error("refused AccessResident changed stats or generation")
-	}
-
-	// MRU line, but a fill is outstanding: must refuse.
-	h.Prefetch(1<<20, 40)
-	if _, ok := h.AccessResident(4096, 50, false); ok {
-		t.Fatal("AccessResident hit while a fill was outstanding")
-	}
-}
-
-// TestResidencyGenerationProtocol walks the events that must (and must
-// not) advance Gen: misses, fill starts, fill landings, Touch, and Flush
-// advance it; pure MRU hits on both paths leave it alone.
-func TestResidencyGenerationProtocol(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.HWPrefetchDistance = 0
-	h := MustNewHierarchy(cfg)
-	if h.Gen() == 0 {
-		t.Fatal("generation must start nonzero so 0 can mean \"never proven\"")
-	}
-
-	g := h.Gen()
-	h.AccessW(0, 10, false) // miss: installs at every level
-	if h.Gen() <= g {
-		t.Fatal("demand miss did not advance the generation")
-	}
-
-	g = h.Gen()
-	h.AccessW(0, 20, false) // MRU hit at every level: no state change
-	if h.Gen() != g {
-		t.Error("full MRU hit advanced the generation")
-	}
-	if _, ok := h.AccessResident(0, 30, false); !ok {
-		t.Fatal("resident fast path refused after an MRU hit")
-	}
-	if h.Gen() != g {
-		t.Error("AccessResident advanced the generation")
-	}
-
-	h.Prefetch(1<<20, 40)
-	if h.Gen() == g {
-		t.Error("prefetch fill start did not advance the generation")
-	}
-
-	g = h.Gen()
-	h.AccessW(1<<20, 40+h.cfg.LatDRAM, false) // consumes the fill, installs
-	if h.Gen() == g {
-		t.Error("fill consumption did not advance the generation")
-	}
-
-	g = h.Gen()
-	h.Touch(1 << 21)
-	if h.Gen() == g {
-		t.Error("Touch did not advance the generation")
-	}
-
-	g = h.Gen()
-	h.Flush()
-	if h.Gen() == g {
-		t.Error("Flush did not advance the generation")
-	}
-	if _, ok := h.AccessResident(0, 100, false); ok {
-		t.Fatal("AccessResident hit after Flush")
 	}
 }
 
